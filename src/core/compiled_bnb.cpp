@@ -518,8 +518,9 @@ CompiledBnb::Output CompiledBnb::route(const Permutation& pi, RouteScratch& scra
   scratch.prepare(*this);
   // The Permutation invariant already guarantees the addresses are a
   // bijection — no O(N) validity re-check on this entry point.
+  const std::uint32_t* address_of = pi.image().data();
   for (std::size_t j = 0; j < n; ++j) {
-    scratch.state_[j] = (std::uint64_t{j} << 32) | pi(j);
+    scratch.state_[j] = (std::uint64_t{j} << 32) | address_of[j];
   }
   if (trace == nullptr && (faults == nullptr || faults->empty())) {
     // The clean hot path IS the solve/apply split: decide the switches into
@@ -539,8 +540,9 @@ void CompiledBnb::solve(const Permutation& pi, RouteScratch& scratch,
   BNB_EXPECTS(pi.size() == n);
   scratch.prepare(*this);
   schedule.prepare(*this);
+  const std::uint32_t* address_of = pi.image().data();
   for (std::size_t j = 0; j < n; ++j) {
-    scratch.state_[j] = (std::uint64_t{j} << 32) | pi(j);
+    scratch.state_[j] = (std::uint64_t{j} << 32) | address_of[j];
   }
   (void)route_impl(scratch, nullptr, {}, nullptr, &schedule);
 }
@@ -559,9 +561,10 @@ CompiledBnb::Output CompiledBnb::apply(const ControlSchedule& schedule,
   // value the fused datapath would have moved there bit for bit.
   bool self_routed = true;
   const std::uint32_t* line_of = schedule.line_of_input_.data();
+  const std::uint32_t* address_of = pi.image().data();
   for (std::size_t j = 0; j < n; ++j) {
     const std::uint32_t line = line_of[j];
-    const std::uint32_t address = pi(j);
+    const std::uint32_t address = address_of[j];
     scratch.dest_[j] = line;
     scratch.outputs_[line] = Word{address, std::uint64_t{j}};
     self_routed &= (address == line);
@@ -608,16 +611,17 @@ CompiledBnb::Output CompiledBnb::apply_packed_lines(
   // read memory-safe.
   bool self_routed = true;
   const std::uint32_t line_mask = static_cast<std::uint32_t>(n - 1);
+  const std::uint32_t* address_of = pi.image().data();
   for (std::size_t j = 0; j < n; j += 2) {
     const std::uint64_t word = packed[j >> 1].load(std::memory_order_relaxed);
     const std::uint32_t line0 = static_cast<std::uint32_t>(word) & line_mask;
-    const std::uint32_t a0 = pi(j);
+    const std::uint32_t a0 = address_of[j];
     scratch.dest_[j] = line0;
     scratch.outputs_[line0] = Word{a0, std::uint64_t{j}};
     self_routed &= (a0 == line0);
     if (j + 1 < n) {
       const std::uint32_t line1 = static_cast<std::uint32_t>(word >> 32) & line_mask;
-      const std::uint32_t a1 = pi(j + 1);
+      const std::uint32_t a1 = address_of[j + 1];
       scratch.dest_[j + 1] = line1;
       scratch.outputs_[line1] = Word{a1, std::uint64_t{j + 1}};
       self_routed &= (a1 == line1);
@@ -683,9 +687,10 @@ CompiledBnb::Output CompiledBnb::apply_small(const SmallSchedule& schedule,
   // Same delivery contract as apply(): input j's word (address pi(j),
   // payload j) appears on the line the flattened steps compose to.
   bool self_routed = true;
+  const std::uint32_t* address_of = pi.image().data();
   for (std::size_t j = 0; j < n; ++j) {
     const std::uint32_t line = schedule.line_of_input(j);
-    const std::uint32_t address = pi(j);
+    const std::uint32_t address = address_of[j];
     scratch.dest_[j] = line;
     scratch.outputs_[line] = Word{address, std::uint64_t{j}};
     self_routed &= (address == line);

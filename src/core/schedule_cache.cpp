@@ -20,6 +20,19 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
+// One multiply-fold step: multiply by an odd key, then fold the high half
+// of the product into the low half.  Both halves are bijections of the
+// 64-bit state, so a lane whose input differs in exactly one chunk can
+// never come back to the same state.
+constexpr std::uint64_t mul_fold(std::uint64_t x, std::uint64_t key) noexcept {
+  x *= key;
+  return x ^ (x >> 32);
+}
+
+constexpr std::uint64_t rotl64(std::uint64_t x, unsigned r) noexcept {
+  return (x << r) | (x >> (64 - r));
+}
+
 constexpr std::size_t next_pow2(std::size_t x) noexcept {
   std::size_t p = 1;
   while (p < x) p <<= 1;
@@ -39,26 +52,43 @@ constexpr bool plausible_shape(std::uint32_t m, std::uint64_t columns,
 }  // namespace
 
 PermutationDigest digest_permutation(const Permutation& pi) noexcept {
-  const auto image = pi.image();
-  const std::size_t n = image.size();
-  // Two independently-seeded lanes, each mixing every image element packed
-  // two-at-a-time into 64-bit chunks; the lane seeds differ so lo/hi are
-  // uncorrelated and the pair behaves as one 128-bit fingerprint.
-  std::uint64_t lo = mix64(0x243F6A8885A308D3ULL ^ n);
-  std::uint64_t hi = mix64(0x452821E638D01377ULL ^ (n * 0x9E3779B97F4A7C15ULL));
+  const std::uint32_t* image = pi.image().data();
+  const std::size_t n = pi.size();
+  // Four independent multiply-fold chains, each with its own odd key and a
+  // seed that mixes in the size.  The image is read as 64-bit chunks (two
+  // adjacent elements in native byte order; a store's endianness probe
+  // keeps digests from crossing byte orders) dealt round-robin to the
+  // lanes, so the four multiplies of one stride overlap instead of
+  // queueing behind one serial chain.
+  constexpr std::uint64_t kKey[4] = {0xA0761D6478BD642FULL, 0xE7037ED1A0B428DBULL,
+                                     0x8EBC6AF09C88C6E3ULL, 0x589965CC75374CC3ULL};
+  std::uint64_t lane[4] = {
+      mix64(0x243F6A8885A308D3ULL ^ n), mix64(0x452821E638D01377ULL ^ (n * kKey[0])),
+      mix64(0x13198A2E03707344ULL + n), mix64(0xA4093822299F31D0ULL ^ rotl64(n, 32))};
+  const auto chunk_at = [image](std::size_t j) noexcept {
+    std::uint64_t chunk;
+    std::memcpy(&chunk, image + j, sizeof(chunk));
+    return chunk;
+  };
   std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
+  for (; j + 8 <= n; j += 8) {
+    lane[0] = mul_fold(lane[0] ^ chunk_at(j), kKey[0]);
+    lane[1] = mul_fold(lane[1] ^ chunk_at(j + 2), kKey[1]);
+    lane[2] = mul_fold(lane[2] ^ chunk_at(j + 4), kKey[2]);
+    lane[3] = mul_fold(lane[3] ^ chunk_at(j + 6), kKey[3]);
+  }
+  // Tail shorter than one stride: the remaining whole chunks continue the
+  // round-robin; a last lone element carries bit 63, which no whole chunk
+  // can set in either byte order (image values are < 2^26).
+  for (std::size_t k = 0; j < n; ++k, j += 2) {
     const std::uint64_t chunk =
-        static_cast<std::uint64_t>(image[j]) | (static_cast<std::uint64_t>(image[j + 1]) << 32);
-    lo = mix64(lo ^ chunk);
-    hi = mix64(hi ^ (chunk + 0x9E3779B97F4A7C15ULL));
+        j + 2 <= n ? chunk_at(j) : (static_cast<std::uint64_t>(image[j]) | (1ULL << 63));
+    lane[k] = mul_fold(lane[k] ^ chunk, kKey[k]);
   }
-  if (j < n) {
-    const auto tail = static_cast<std::uint64_t>(image[j]);
-    lo = mix64(lo ^ (tail | 0x8000000000000000ULL));
-    hi = mix64(hi ^ (tail + 0xD1B54A32D192ED03ULL));
-  }
-  return PermutationDigest{lo, hi};
+  // Fold 256 bits of lane state down to the 128-bit key with full mixes.
+  const std::uint64_t a = mix64(lane[0] ^ rotl64(lane[1], 23));
+  const std::uint64_t b = mix64(lane[2] ^ rotl64(lane[3], 41));
+  return PermutationDigest{mix64(a ^ (b + n)), mix64(b ^ rotl64(a, 29) ^ kKey[3])};
 }
 
 ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards,
@@ -468,11 +498,21 @@ std::atomic<std::uint64_t>* ScheduleCache::ensure_buffer_locked(Slot& slot,
   if (buf != nullptr && buf[0].load(std::memory_order_relaxed) >= payload_words) {
     return buf;  // reuse: word 0 is the immutable allocated capacity
   }
+  // An outgrown buffer goes back on the free list; it stays owned by
+  // buffers_, since a reader may still be copying from it and
+  // type-stability is what makes that race benign.
+  if (buf != nullptr) spare_buffers_.push_back(buf);
+  for (std::size_t i = 0; i < spare_buffers_.size(); ++i) {
+    std::atomic<std::uint64_t>* spare = spare_buffers_[i];
+    if (spare[0].load(std::memory_order_relaxed) >= payload_words) {
+      spare_buffers_[i] = spare_buffers_.back();
+      spare_buffers_.pop_back();
+      return spare;
+    }
+  }
   auto owned = std::make_unique<std::atomic<std::uint64_t>[]>(1 + payload_words);
   owned[0].store(payload_words, std::memory_order_relaxed);
   buf = owned.get();
-  // The outgrown buffer (if any) stays in buffers_: a reader may still be
-  // copying from it, and type-stability is what makes that race benign.
   buffers_.push_back(std::move(owned));
   return buf;
 }
@@ -538,22 +578,13 @@ void ScheduleCache::rehash_locked() {
   // entries (the packed words are position-independent), so no payload is
   // rewritten.  Concurrent readers transiently miss mid-rehash and fall
   // back to a solve — correct, just cold; their insert then queues on mu_.
-  struct Lifted {
-    PermutationDigest digest;
-    std::uint32_t lane = 0;
-    std::uint32_t ref = 0;
-    std::uint32_t g_m = 0;
-    std::uint32_t g_columns = 0;
-    std::uint32_t g_control_words = 0;
-    std::atomic<std::uint64_t>* gbuf = nullptr;
-    std::uint64_t small[kSmallWords] = {};
-  };
-  std::vector<Lifted> lives;
-  lives.reserve(live_);
+  std::vector<LiftedEntry>& lives = rehash_scratch_;
+  lives.clear();
   for (std::size_t i = 0; i < table_size_; ++i) {
     Slot& s = slots_[i];
+    std::atomic<std::uint64_t>* gbuf = s.gbuf.load(std::memory_order_relaxed);
     if (s.state.load(std::memory_order_relaxed) == kLive) {
-      Lifted e;
+      LiftedEntry e;
       e.digest = PermutationDigest{s.digest_lo.load(std::memory_order_relaxed),
                                    s.digest_hi.load(std::memory_order_relaxed)};
       e.lane = s.lane.load(std::memory_order_relaxed);
@@ -561,17 +592,19 @@ void ScheduleCache::rehash_locked() {
       e.g_m = s.g_m.load(std::memory_order_relaxed);
       e.g_columns = s.g_columns.load(std::memory_order_relaxed);
       e.g_control_words = s.g_control_words.load(std::memory_order_relaxed);
-      e.gbuf = s.gbuf.load(std::memory_order_relaxed);
+      e.gbuf = gbuf;
       for (std::size_t w = 0; w < kSmallWords; ++w) {
         e.small[w] = s.small[w].load(std::memory_order_relaxed);
       }
       lives.push_back(e);
+    } else if (gbuf != nullptr) {
+      spare_buffers_.push_back(gbuf);  // a tombstone's scratch buffer
     }
     if (s.state.load(std::memory_order_relaxed) != kFree) {
       free_slot_locked(s, kFree);
     }
-    // Detach scratch buffers so re-insertion can re-attach the RIGHT
-    // buffer to the RIGHT entry (ownership stays with buffers_).
+    // Detach every buffer so re-insertion can re-attach the RIGHT buffer
+    // to the RIGHT entry (ownership stays with buffers_).
     const std::uint32_t q = s.seq.load(std::memory_order_relaxed);
     s.seq.store(q + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
@@ -579,7 +612,7 @@ void ScheduleCache::rehash_locked() {
     s.seq.store(q + 2, std::memory_order_release);
   }
   tombstones_ = 0;
-  for (const Lifted& e : lives) {
+  for (const LiftedEntry& e : lives) {
     Slot* slot = writer_position_locked(e.digest);
     BNB_EXPECTS(slot != nullptr);
     Slot& s = *slot;

@@ -21,11 +21,16 @@
 //   * ZERO-ALLOC WARM HITS: the general lane replays STRAIGHT FROM THE
 //     SLOT — replay() hands CompiledBnb::apply_packed_lines the slot's
 //     packed input->line map and revalidates the sequence afterwards; no
-//     schedule copy, no shared_ptr, no heap.  The small lane copies its
-//     ~0.2 KB value type through the slot's staging words.  Payload
-//     buffers are TYPE-STABLE: once allocated they live until the cache
-//     dies, so a reader racing an eviction copies stale-but-owned memory
-//     and the sequence check rejects the result.
+//     schedule copy, no shared_ptr, no heap.  route() and ResilientRouter
+//     both hit through replay(); find() copy-out stays for callers that
+//     hand the schedule to another thread (StreamEngine).  The small lane
+//     copies its ~0.2 KB value type through the slot's staging words.
+//     Payload buffers are TYPE-STABLE: once allocated they live until
+//     the cache dies, so a reader racing an eviction copies
+//     stale-but-owned memory and the sequence check rejects the result.
+//     Buffers a rehash detaches from tombstones go on a writer-side free
+//     list that later inserts draw from, so eviction churn recycles a
+//     bounded pool instead of allocating per insert.
 //   * CLOCK EVICTION: a hit sets the slot's reference bit; inserting into
 //     a full cache sweeps a clock hand that clears reference bits and
 //     evicts the first unreferenced live slot (second chance — a touched
@@ -38,15 +43,20 @@
 //     whichever lane holds it (counted in `quarantined`) — see
 //     docs/RELIABILITY.md.
 //   * PERSISTENCE (core/schedule_store.hpp): save()/load() serialize the
-//     live entries as bnb.schedstore.v1 (versioned, CRC-per-record), and
-//     warm_start() memory-maps a store read-only so the first request
+//     live entries as bnb.schedstore.v2 (versioned, CRC-per-record; save
+//     writes a temp file, fsyncs it and renames it over the old store),
+//     and warm_start() memory-maps a store read-only so the first request
 //     after a process restart replays at warm speed — a table miss
 //     consults the mmap index, CRC-checks the one record it needs, and
 //     promotes it into the table as a hit.
 //
-// The digest is 128 bits of splitmix-style mixing over (size, image); the
-// cache trusts it without a full image compare — a false hit needs a
-// 2^-128-scale collision.  Counters are registry-backed obs::Counters
+// The digest is lane-parallel: four independent multiply-fold chains
+// (multiply by a per-lane odd key, fold the high half into the low), each
+// seeded with the size, consume the image as 64-bit chunks dealt
+// round-robin, and splitmix64 finalizers fold the four lanes to 128 bits.
+// Each step is a bijection of its lane, so images that differ in a single
+// chunk can never collide.  The cache trusts the digest without a full
+// image compare.  Counters are registry-backed obs::Counters
 // under bnb_cache_* (stats() is the per-instance view); probe lengths go
 // to the registry-owned bnb_cache_probe_len histogram.
 #pragma once
@@ -66,8 +76,9 @@ namespace bnb {
 
 class WarmStore;  // core/schedule_store.hpp: mmap-backed read-only store
 
-/// Strong 128-bit permutation fingerprint (mixes the size and every image
-/// element); the ScheduleCache key.
+/// 128-bit permutation fingerprint (mixes the size and every image
+/// element through four independent multiply-fold lanes); the
+/// ScheduleCache key and the bnb.schedstore.v2 record key.
 struct PermutationDigest {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -174,18 +185,22 @@ class ScheduleCache {
   /// Drop every entry (counters are kept; an attached warm store stays).
   void clear();
 
-  // -- persistence (bnb.schedstore.v1; core/schedule_store.cpp) -----------
+  // -- persistence (bnb.schedstore.v2; core/schedule_store.cpp) -----------
 
   /// Serialize every live entry to `path` (header + one CRC'd record per
-  /// entry).  Returns the number of records written and counts them in
-  /// bnb_cache_store_saved_total.  Throws schedule_store_error on I/O
-  /// failure.  Takes the writer lock: concurrent readers keep hitting.
+  /// entry).  Crash-safe: the bytes go to `<path>.tmp.<pid>` in the same
+  /// directory, which is fsynced and renamed over `path`, so a crash or a
+  /// failed write leaves the previous store intact.  Returns the number
+  /// of records written and counts them in bnb_cache_store_saved_total.
+  /// Throws schedule_store_error on I/O failure (the temp file is
+  /// removed).  Takes the writer lock: concurrent readers keep hitting.
   std::size_t save(const std::string& path);
 
   /// Eagerly load every record of `path` into the table, fully verifying
   /// the header and every record CRC up front.  Returns the number of
   /// records inserted (counted in bnb_cache_store_loaded_total).  Throws
-  /// schedule_store_error on open failure, bad magic/version/endianness,
+  /// schedule_store_error on open failure, bad magic/version/endianness
+  /// (a v1 store included: its digests predate the lane-parallel digest),
   /// or any CRC mismatch — a corrupt store never half-loads silently.
   std::size_t load(const std::string& path);
 
@@ -235,6 +250,18 @@ class ScheduleCache {
     std::atomic<std::uint64_t> small[kSmallWords] = {};
   };
 
+  /// A live entry lifted out of the table during rehash_locked().
+  struct LiftedEntry {
+    PermutationDigest digest;
+    std::uint32_t lane = 0;
+    std::uint32_t ref = 0;
+    std::uint32_t g_m = 0;
+    std::uint32_t g_columns = 0;
+    std::uint32_t g_control_words = 0;
+    std::atomic<std::uint64_t>* gbuf = nullptr;
+    std::uint64_t small[kSmallWords] = {};
+  };
+
   // Reader-side probe: the live slot whose digest matches, or nullptr
   // after a free slot or a full cycle.  Lock-free; `probes` counts slots
   // visited (recorded into bnb_cache_probe_len by the callers).
@@ -278,6 +305,14 @@ class ScheduleCache {
   /// buffer is never freed while the cache lives, so lock-free readers can
   /// race evictions safely; the seqlock rejects their stale copies).
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> buffers_;
+  /// Writer-side free list: buffers of buffers_ that no slot holds (a
+  /// rehash detached them from tombstones, or their slot outgrew them).
+  /// ensure_buffer_locked() takes a big-enough spare before allocating, so
+  /// eviction churn recycles a bounded pool instead of growing it.
+  std::vector<std::atomic<std::uint64_t>*> spare_buffers_;
+  /// rehash_locked()'s lift-out area, kept so a rehash allocates nothing
+  /// once it has seen a full table.
+  std::vector<LiftedEntry> rehash_scratch_;
 
   std::unique_ptr<WarmStore> warm_;                       ///< owner
   std::atomic<const WarmStore*> warm_view_{nullptr};      ///< reader view

@@ -1,9 +1,10 @@
-// bnb.schedstore.v1 codec + the ScheduleCache persistence entry points
+// bnb.schedstore.v2 codec + the ScheduleCache persistence entry points
 // (save/load/warm_start and the lock-free warm-store fallbacks).  See
 // schedule_store.hpp for the format contract.
 #include "core/schedule_store.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -26,7 +27,9 @@ namespace bnb {
 namespace {
 
 constexpr char kMagic[8] = {'B', 'N', 'B', 'S', 'C', 'H', 'D', '1'};
-constexpr std::uint32_t kVersion = 1;
+/// v2 keys records by the lane-parallel digest; v1 files carry digests of
+/// the old serial digest and are refused (stores are rebuildable caches).
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kEndianProbe = 0x01020304U;
 /// Format-level promise: stored schedules replay bit-identically on every
 /// kernel tier.  Bumped only if a future format ever stores tier-specific
@@ -107,6 +110,73 @@ SmallSchedule decode_small(const WarmStore::Record& r) {
   return SmallSchedule::from_wire(wire, kernels::active_kernels().small_apply8);
 }
 
+#if BNB_STORE_HAS_MMAP
+bool write_all(int fd, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  while (bytes > 0) {
+    const ::ssize_t w = ::write(fd, p, bytes);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    p += w;
+    bytes -= static_cast<std::size_t>(w);
+  }
+  return true;
+}
+#endif
+
+/// Crash-safe publish: write the whole store to `<path>.tmp.<pid>` in the
+/// same directory, flush it to disk, then rename it over `path`.  Until
+/// the rename, `path` still holds the previous store, intact; a failure at
+/// any step removes the temp file and throws.
+void write_store_file(const std::string& path, const StoreHeader& h,
+                      const std::vector<unsigned char>& body) {
+#if BNB_STORE_HAS_MMAP
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    throw schedule_store_error("schedule store: cannot create '" + tmp + "' to save '" +
+                               path + "'");
+  }
+  const bool ok = write_all(fd, &h, sizeof(h)) && write_all(fd, body.data(), body.size()) &&
+                  ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !ok) {
+    ::unlink(tmp.c_str());
+    throw schedule_store_error("schedule store: write failed for '" + path + "'");
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    throw schedule_store_error("schedule store: cannot replace '" + path + "'");
+  }
+  // Make the rename itself durable.  The new store is already complete on
+  // disk, so a directory that cannot be synced is not an error.
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd >= 0) {
+    (void)::fsync(dfd);
+    ::close(dfd);
+  }
+#else
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) {
+    throw schedule_store_error("schedule store: cannot create '" + tmp + "' to save '" +
+                               path + "'");
+  }
+  const bool ok = std::fwrite(&h, sizeof(h), 1, f) == 1 &&
+                  (body.empty() || std::fwrite(body.data(), body.size(), 1, f) == 1) &&
+                  std::fflush(f) == 0;
+  if (std::fclose(f) != 0 || !ok) {
+    std::remove(tmp.c_str());
+    throw schedule_store_error("schedule store: write failed for '" + path + "'");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw schedule_store_error("schedule store: cannot replace '" + path + "'");
+  }
+#endif
+}
+
 }  // namespace
 
 // -- WarmStore ---------------------------------------------------------------
@@ -164,10 +234,11 @@ WarmStore::WarmStore(const std::string& path) {
                                "' is not a bnb.schedstore file (bad magic)");
   }
   if (h.version != kVersion) {
-    throw schedule_store_error("schedule store: '" + path +
-                               "' has unsupported version " + std::to_string(h.version) +
-                               " (this build reads version " + std::to_string(kVersion) +
-                               ")");
+    throw schedule_store_error(
+        "schedule store: '" + path + "' has unsupported version " +
+        std::to_string(h.version) + " (bnb.schedstore.v" + std::to_string(h.version) +
+        "; this build reads only bnb.schedstore.v" + std::to_string(kVersion) +
+        "; the store is a rebuildable cache: delete it and save again)");
   }
   if (h.endian != kEndianProbe) {
     throw schedule_store_error("schedule store: '" + path +
@@ -299,15 +370,7 @@ std::size_t ScheduleCache::save(const std::string& path) {
   h.record_count = count;
   h.header_crc = crc32(&h, sizeof(StoreHeader) - sizeof(std::uint32_t));
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw schedule_store_error("schedule store: cannot create '" + path + "'");
-  }
-  const bool ok = std::fwrite(&h, sizeof(h), 1, f) == 1 &&
-                  (body.empty() || std::fwrite(body.data(), body.size(), 1, f) == 1);
-  if (std::fclose(f) != 0 || !ok) {
-    throw schedule_store_error("schedule store: write failed for '" + path + "'");
-  }
+  write_store_file(path, h, body);
   store_saved_.inc(count);
   return count;
 }

@@ -1,4 +1,4 @@
-// bnb.schedstore.v1 — versioned binary persistence for the schedule cache.
+// bnb.schedstore.v2 — versioned binary persistence for the schedule cache.
 //
 // A solved schedule is expensive to produce (the full column-by-column
 // control solve) but cheap to describe: packed switch controls plus the
@@ -10,7 +10,7 @@
 //
 // File layout (all integers little-endian, the header pins endianness):
 //
-//   StoreHeader   32 B   magic "BNBSCHD1", version, endianness probe,
+//   StoreHeader   32 B   magic "BNBSCHD1", version 2, endianness probe,
 //                        kernel-invariance tag, record count, header CRC32
 //   Record        32 B   digest (128-bit), kind (general | small), m,
 //        header          payload byte count, payload CRC32
@@ -26,6 +26,16 @@
 // is tier-invariant; only data movement differs), so a store saved on an
 // AVX-512 host loads on a scalar host and vice versa — asserted per tier by
 // tests/test_schedule_store.cpp and enforced in CI's cache-persistence job.
+//
+// Version 2 keys records by the lane-parallel digest_permutation (four
+// multiply-fold chains); a version 1 file was keyed by the old serial
+// digest and is refused with a diagnostic naming both versions.  Stores
+// are rebuildable caches: delete the file and save again.
+//
+// save() is crash-safe: it writes `<path>.tmp.<pid>` in the same
+// directory, fsyncs it, renames it over `path` and syncs the directory,
+// so a crash or a failed write at any step leaves the previous store
+// intact (a failed save removes its temp file and throws).
 //
 // load() verifies everything up front and throws schedule_store_error on
 // the first inconsistency — a corrupt store never half-loads silently.
@@ -51,7 +61,7 @@ class schedule_store_error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A read-only, memory-mapped bnb.schedstore.v1 file with a sorted digest
+/// A read-only, memory-mapped bnb.schedstore.v2 file with a sorted digest
 /// index.  Construction validates the header and walks the record bounds;
 /// payload CRCs are checked by verify(), once, at first use of a record.
 /// The map lives until destruction; ScheduleCache retires (never frees)

@@ -36,9 +36,12 @@ const char* to_string(RouteErrorKind kind) noexcept {
 DeliveryAudit::DeliveryAudit(unsigned m) : m_(m), expected_checksum_(0) {
   BNB_EXPECTS(m >= 1 && m < 26);
   const std::size_t n = inputs();
+  address_mix_.resize(n);
+  payload_mix_.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    expected_checksum_ +=
-        mix_address(static_cast<std::uint32_t>(j)) + mix_payload(j);
+    address_mix_[j] = mix_address(static_cast<std::uint32_t>(j));
+    payload_mix_[j] = mix_payload(j);
+    expected_checksum_ += address_mix_[j] + payload_mix_[j];
   }
   seen_.assign(n, 0);
 }
@@ -55,6 +58,9 @@ AuditReport DeliveryAudit::audit(const Permutation& pi,
   BNB_EXPECTS(pi.size() == n && outputs.size() == n);
   AuditReport report;
   seen_.assign(n, 0);
+  const std::uint32_t* requested_of = pi.image().data();
+  const std::uint64_t* address_mix = address_mix_.data();
+  const std::uint64_t* payload_mix = payload_mix_.data();
 
   auto flag = [&](RouteErrorKind kind, std::size_t line) {
     report.ok = false;
@@ -65,20 +71,27 @@ AuditReport DeliveryAudit::audit(const Permutation& pi,
     }
   };
 
+  // One pass: every word enters the slice checksum (the tables cover the
+  // in-range values, anything else is mixed on the spot), then the
+  // per-word checks run in their fixed order.
+  std::uint64_t sum = 0;
   for (std::size_t line = 0; line < n; ++line) {
     const Word& w = outputs[line];
+    sum += w.address < n ? address_mix[w.address] : mix_address(w.address);
     // Provenance first: the payload names the input the word entered on.
     if (w.payload >= n) {
+      sum += mix_payload(w.payload);
       flag(RouteErrorKind::kPayloadMismatch, line);
       continue;
     }
     const auto j = static_cast<std::size_t>(w.payload);
+    sum += payload_mix[j];
     if (seen_[j] != 0) {
       flag(RouteErrorKind::kBrokenBijection, line);
       continue;
     }
     seen_[j] = 1;
-    const std::uint32_t requested = pi(j);
+    const std::uint32_t requested = requested_of[j];
     if (w.address != requested) {
       // The word no longer carries the address it entered with — it was
       // damaged in transit, not merely mis-switched.
@@ -88,7 +101,7 @@ AuditReport DeliveryAudit::audit(const Permutation& pi,
     }
   }
 
-  if (slice_checksum(outputs) != expected_checksum_) {
+  if (sum != expected_checksum_) {
     report.ok = false;
     ++report.errors;
     if (report.findings.size() < kMaxFindings) {

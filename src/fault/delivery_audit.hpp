@@ -6,9 +6,12 @@
 // per word, that (1) its address survived transit, (2) it rests on the line
 // its requested destination names, (3) its payload provenance is intact,
 // and that the slice as a whole is still a bijection with the expected
-// checksum.  Failures are classified into the RouteErrorKind taxonomy so
-// the RobustRouter can tell transient misroutes (retry) from structural
-// damage (fall back, diagnose).
+// checksum.  The checksum is summed in that same pass: the constructor
+// tabulates the per-index address and payload mixes (16 B x N), so an
+// in-range word costs two table loads instead of two SplitMix64 mixes.
+// Failures are classified into the RouteErrorKind taxonomy so the
+// RobustRouter can tell transient misroutes (retry) from structural damage
+// (fall back, diagnose).
 #pragma once
 
 #include <cstdint>
@@ -65,7 +68,9 @@ class DeliveryAudit {
 
   /// Audit the delivery of `pi` under the engine convention "input j
   /// carried address pi(j) and payload j": outputs[line] is the word
-  /// delivered at each output line.  O(N), allocation-free when clean.
+  /// delivered at each output line.  One O(N) pass covering every check,
+  /// the checksum over every delivered word included; allocation-free
+  /// when clean.
   [[nodiscard]] AuditReport audit(const Permutation& pi,
                                   std::span<const Word> outputs) const;
 
@@ -83,6 +88,8 @@ class DeliveryAudit {
  private:
   unsigned m_;
   std::uint64_t expected_checksum_;
+  std::vector<std::uint64_t> address_mix_;  ///< address_mix_[a] = mix of address a < N
+  std::vector<std::uint64_t> payload_mix_;  ///< payload_mix_[p] = mix of payload p < N
   mutable std::vector<std::uint8_t> seen_;  ///< input-index scoreboard
 };
 

@@ -187,9 +187,9 @@ bool ResilientRouter::deliver_spare(const Permutation& pi, ResilientReport& repo
   return true;
 }
 
-bool ResilientRouter::route_fast(const Permutation& pi, ResilientReport& report) {
+bool ResilientRouter::route_fast(const Permutation& pi, const PermutationDigest& digest,
+                                 ResilientReport& report) {
   const CompiledBnb& plan = robust_.engine();
-  const PermutationDigest digest = digest_permutation(pi);
   ++report.attempts;
   bool replay = false;
   CompiledBnb::Output out{};
@@ -199,12 +199,15 @@ bool ResilientRouter::route_fast(const Permutation& pi, ResilientReport& report)
     if (!replay) small_sched = plan.compile_small(pi, scratch_);
     out = plan.apply_small(small_sched, pi, scratch_);
   } else {
-    // Copy-out into the scratch-owned schedule slot: allocation-free once
-    // the scratch is warmed on this plan's shape.
-    ControlSchedule& sched = scratch_.schedule_slot();
-    replay = cache_->find(digest, sched);
-    if (!replay) plan.solve(pi, scratch_, sched);
-    out = plan.apply(sched, pi, scratch_);
+    // A hit replays straight from the cache slot (zero-copy, seqlock
+    // validated); only a miss solves into the scratch-owned schedule slot
+    // and applies it.
+    replay = cache_->replay(plan, digest, pi, scratch_, out);
+    if (!replay) {
+      ControlSchedule& sched = scratch_.schedule_slot();
+      plan.solve(pi, scratch_, sched);
+      out = plan.apply(sched, pi, scratch_);
+    }
   }
   {
     BNB_OBS_SPAN(audit_span, obs::Phase::kAudit);
@@ -255,13 +258,18 @@ ResilientReport ResilientRouter::route(const Permutation& pi) {
     return report;
   }
 
+  // One digest per route: the fast path's lookup and the fallback's
+  // quarantine below share it.
+  const PermutationDigest digest =
+      cache_ != nullptr ? digest_permutation(pi) : PermutationDigest{};
+
   // Clean-fabric cache fast path.  Closed breaker only — a half-open probe
   // must exercise the primary plane itself, not a cached replay — and only
   // while no fault overlay exists (quarantine rule; a cleared transient
   // stays suspect until clear_faults()).
   if (gate == HealthTracker::RouteGate::kPrimary && cache_ != nullptr &&
       !robust_.has_faults()) {
-    if (route_fast(pi, report)) {
+    if (route_fast(pi, digest, report)) {
       health_.record_ok();
       report.breaker = health_.state();
       return report;
@@ -307,7 +315,7 @@ ResilientReport ResilientRouter::route(const Permutation& pi) {
   // digest, and deliver on the audited spare plane.
   report.diagnosis = robust_.diagnose(pi);
   health_.record_fault();
-  if (cache_ != nullptr) (void)cache_->invalidate(digest_permutation(pi));
+  if (cache_ != nullptr) (void)cache_->invalidate(digest);
   report.outcome = deliver_spare(pi, report) ? ResilientOutcome::kDeliveredByFallback
                                              : ResilientOutcome::kFailed;
   report.breaker = health_.state();

@@ -225,7 +225,9 @@ class ResilientRouter {
   /// Audited spare-plane delivery; fills audit/dest, true when clean.
   [[nodiscard]] bool deliver_spare(const Permutation& pi, ResilientReport& report);
   /// Clean-fabric cache fast path; true when the report was delivered.
-  [[nodiscard]] bool route_fast(const Permutation& pi, ResilientReport& report);
+  /// `digest` is digest_permutation(pi), computed once per route().
+  [[nodiscard]] bool route_fast(const Permutation& pi, const PermutationDigest& digest,
+                                ResilientReport& report);
 
   ResilientPolicy policy_;
   RobustRouter robust_;  ///< primary plane, configured single-attempt

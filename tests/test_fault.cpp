@@ -270,6 +270,106 @@ TEST(DeliveryAudit, ClassifiesEachFailureKind) {
   }
 }
 
+/// The two-pass audit DeliveryAudit::audit made before it fused its
+/// checksum into the per-word pass, kept as the reference it must match
+/// finding for finding.
+AuditReport reference_audit(const Permutation& pi, std::span<const Word> outputs) {
+  const std::size_t n = outputs.size();
+  AuditReport report;
+  std::vector<std::uint8_t> seen(n, 0);
+  auto flag = [&](RouteErrorKind kind, std::size_t line) {
+    report.ok = false;
+    ++report.errors;
+    if (report.findings.size() < DeliveryAudit::kMaxFindings) {
+      report.findings.push_back({kind, static_cast<std::uint32_t>(line),
+                                 outputs[line].address, outputs[line].payload});
+    }
+  };
+  for (std::size_t line = 0; line < n; ++line) {
+    const Word& w = outputs[line];
+    if (w.payload >= n) {
+      flag(RouteErrorKind::kPayloadMismatch, line);
+      continue;
+    }
+    const auto j = static_cast<std::size_t>(w.payload);
+    if (seen[j] != 0) {
+      flag(RouteErrorKind::kBrokenBijection, line);
+      continue;
+    }
+    seen[j] = 1;
+    const std::uint32_t requested = pi(j);
+    if (w.address != requested) {
+      flag(RouteErrorKind::kCorruptedAddress, line);
+    } else if (line != requested) {
+      flag(RouteErrorKind::kWrongDestination, line);
+    }
+  }
+  // Second pass: the checksum of a clean slice (address == line, payloads
+  // 0..N-1) computed from scratch, against the delivered slice's.
+  std::vector<Word> clean(n);
+  for (std::size_t j = 0; j < n; ++j) clean[j] = Word{static_cast<std::uint32_t>(j), j};
+  if (DeliveryAudit::slice_checksum(outputs) != DeliveryAudit::slice_checksum(clean)) {
+    report.ok = false;
+    ++report.errors;
+    if (report.findings.size() < DeliveryAudit::kMaxFindings) {
+      report.findings.push_back({RouteErrorKind::kChecksumMismatch, 0, 0, 0});
+    }
+  }
+  return report;
+}
+
+TEST(DeliveryAudit, OnePassMatchesTheTwoPassReferenceOnSeededCorruptions) {
+  Rng rng(0xA0D18);
+  std::size_t dirty = 0;
+  for (unsigned m = 1; m <= 10; ++m) {
+    const DeliveryAudit audit(m);
+    const std::size_t n = std::size_t{1} << m;
+    for (int trial = 0; trial < 200; ++trial) {
+      const Permutation pi = random_perm(n, rng);
+      std::vector<Word> out(n);
+      for (std::size_t j = 0; j < n; ++j) out[pi(j)] = Word{pi(j), std::uint64_t{j}};
+      // 0..3 corruptions on a clean delivery; trial 0 stays clean, and
+      // every 25th trial scrambles enough lines to hit the findings cap.
+      const int corruptions = trial == 0 ? 0 : trial % 25 == 0 ? 40 : 1 + trial % 3;
+      for (int c = 0; c < corruptions; ++c) {
+        const std::size_t line = rng.below(n);
+        const std::size_t other = rng.below(n);
+        switch (rng.below(5)) {
+          case 0:  // swapped lines
+            std::swap(out[line], out[other]);
+            break;
+          case 1:  // a payload duplicated over another line
+            out[line].payload = out[other].payload;
+            break;
+          case 2:  // payload >= N, from just past the end to huge
+            out[line].payload = n + ((rng.next() >> 1) >> rng.below(63));
+            break;
+          case 3:  // a flipped address bit, inside or outside [0, N)
+            out[line].address ^= 1U << rng.below(rng.flip() ? m : 32);
+            break;
+          default:  // address >= N
+            out[line].address = static_cast<std::uint32_t>(n + rng.below(0x100000000ULL - n));
+            break;
+        }
+      }
+      const AuditReport want = reference_audit(pi, out);
+      const AuditReport got = audit.audit(pi, out);
+      dirty += want.ok ? 0 : 1;
+      ASSERT_EQ(got.ok, want.ok) << "m=" << m << " trial " << trial;
+      ASSERT_EQ(got.errors, want.errors) << "m=" << m << " trial " << trial;
+      ASSERT_EQ(got.findings.size(), want.findings.size()) << "m=" << m << " trial " << trial;
+      for (std::size_t f = 0; f < want.findings.size(); ++f) {
+        ASSERT_EQ(got.findings[f].kind, want.findings[f].kind) << "m=" << m << " f=" << f;
+        ASSERT_EQ(got.findings[f].line, want.findings[f].line) << "m=" << m << " f=" << f;
+        ASSERT_EQ(got.findings[f].address, want.findings[f].address) << "m=" << m;
+        ASSERT_EQ(got.findings[f].payload, want.findings[f].payload) << "m=" << m;
+      }
+    }
+  }
+  // The corruptions must actually exercise the failure paths.
+  EXPECT_GT(dirty, 1500U);
+}
+
 // ---- RobustRouter -----------------------------------------------------
 
 TEST(RobustRouter, CleanFabricDeliversFirstTry) {

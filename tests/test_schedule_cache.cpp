@@ -77,6 +77,34 @@ void expect_cached_equivalence(unsigned m, const Permutation& pi) {
 
 // ---- digest ------------------------------------------------------------
 
+bool digest_less(const PermutationDigest& x, const PermutationDigest& y) {
+  return x.hi != y.hi ? x.hi < y.hi : x.lo < y.lo;
+}
+
+/// `base` and every single transposition of it, as images.
+std::vector<std::vector<std::uint32_t>> with_transpositions(const Permutation& base) {
+  std::vector<std::vector<std::uint32_t>> out;
+  std::vector<std::uint32_t> image(base.image().begin(), base.image().end());
+  out.push_back(image);
+  for (std::size_t a = 0; a < image.size(); ++a) {
+    for (std::size_t b = a + 1; b < image.size(); ++b) {
+      std::swap(image[a], image[b]);
+      out.push_back(image);
+      std::swap(image[a], image[b]);
+    }
+  }
+  return out;
+}
+
+/// Number of distinct digests over `images` (which must be distinct).
+std::size_t distinct_digests(const std::vector<std::vector<std::uint32_t>>& images) {
+  std::vector<PermutationDigest> d;
+  d.reserve(images.size());
+  for (const auto& image : images) d.push_back(digest_permutation(Permutation(image)));
+  std::sort(d.begin(), d.end(), digest_less);
+  return static_cast<std::size_t>(std::unique(d.begin(), d.end()) - d.begin());
+}
+
 TEST(ScheduleCache, DigestIsDeterministicAndDiscriminates) {
   Rng rng(0xCAC4E01);
   const Permutation a = random_perm(256, rng);
@@ -90,12 +118,33 @@ TEST(ScheduleCache, DigestIsDeterministicAndDiscriminates) {
     seen.push_back(digest_permutation(pi));
   } while (pi.next_lexicographic());
   ASSERT_EQ(seen.size(), 40320U);
-  std::sort(seen.begin(), seen.end(), [](const auto& x, const auto& y) {
-    return x.hi != y.hi ? x.hi < y.hi : x.lo < y.lo;
-  });
+  std::sort(seen.begin(), seen.end(), digest_less);
   EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end());
   EXPECT_FALSE(digest_permutation(identity_perm(8)) ==
                digest_permutation(identity_perm(16)));
+
+  // Near repeats are the cache's hardest keys: all 256*255/2 = 32,640
+  // single transpositions of a random m=8 base must get distinct digests,
+  // whether the swapped elements share a 64-bit chunk, a lane, or neither.
+  const auto m8 = with_transpositions(random_perm(256, rng));
+  ASSERT_EQ(m8.size(), 1U + 32640U);
+  EXPECT_EQ(distinct_digests(m8), m8.size());
+
+  // Sizes 1..16 cover every tail shorter than one lane stride (8 image
+  // elements), a lone odd element included.  The identity and a random
+  // base of each size, with all their transpositions, pooled across sizes
+  // (the size is mixed in), must all get distinct digests.
+  std::vector<std::vector<std::uint32_t>> pool;
+  for (std::size_t n = 1; n <= 16; ++n) {
+    for (const Permutation& base : {identity_perm(n), random_perm(n, rng)}) {
+      const auto images = with_transpositions(base);
+      pool.insert(pool.end(), images.begin(), images.end());
+    }
+  }
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  ASSERT_GE(pool.size(), 16U + 680U);  // identities + their C(n,2) swaps, at least
+  EXPECT_EQ(distinct_digests(pool), pool.size());
 }
 
 // ---- hit equivalence ---------------------------------------------------
@@ -523,6 +572,47 @@ TEST(ScheduleCache, GeneralLaneWarmHitsAllocateNothing) {
   }
   EXPECT_EQ(testhook::allocation_count(), 0U)
       << "same-shape find() copy-outs must reuse the destination's buffers";
+}
+
+TEST(ScheduleCache, EvictionChurnRecyclesPayloadBuffers) {
+  // Under eviction churn a rehash detaches the buffers of tombstoned slots.
+  // They go on a writer-side free list that later inserts draw from, so
+  // steady-state churn allocates (almost) nothing instead of one buffer
+  // per insert.
+  Rng rng(0xCAC4E10);
+  const unsigned m = 8;
+  const CompiledBnb plan(m);
+  RouteScratch scratch;
+  ControlSchedule solved;
+  plan.solve(random_perm(plan.inputs(), rng), scratch, solved);
+  const std::size_t capacity = 16;
+  ScheduleCache cache(capacity);
+  // Every insert is a fresh digest (the payload is irrelevant to the
+  // table), so each one past the capacity evicts.
+  std::uint64_t next = 1;
+  auto churn = [&](std::size_t inserts) {
+    for (std::size_t i = 0; i < inserts; ++i, ++next) {
+      cache.insert(PermutationDigest{next * 0x9E3779B97F4A7C15ULL, next}, solved);
+    }
+  };
+  churn(20 * capacity);  // warm-up: fill, evict, rehash several times
+  const std::size_t inserts = 20 * capacity;
+  const auto evictions_before = cache.stats().evictions;
+  testhook::reset_allocation_count();
+  churn(inserts);
+  const std::size_t allocations = testhook::allocation_count();
+  EXPECT_EQ(cache.stats().evictions, evictions_before + inserts);
+  EXPECT_EQ(cache.size(), capacity);
+  EXPECT_LT(allocations * 20, inserts)
+      << allocations << " allocations over " << inserts << " evicting inserts";
+
+  // The recycled buffers still carry the right schedules.
+  const Permutation pi = random_perm(plan.inputs(), rng);
+  const PermutationDigest digest = digest_permutation(pi);
+  (void)cache.route(plan, pi, scratch);
+  CompiledBnb::Output out{};
+  ASSERT_TRUE(cache.replay(plan, digest, pi, scratch, out));
+  EXPECT_TRUE(out.self_routed);
 }
 
 // ---- general lane: fault / trace bypass ---------------------------------

@@ -1,13 +1,16 @@
-// bnb.schedstore.v1 persistence: save → load must replay bit-identically
+// bnb.schedstore.v2 persistence: save → load must replay bit-identically
 // in BOTH lanes across every kernel tier this host supports (the format's
 // kernel-invariance promise, with apply8 re-bound from the loading
 // process's dispatch), a store the build cannot read — missing, truncated,
-// wrong magic, unsupported version, header or record CRC damage — must
-// throw schedule_store_error from load() with nothing inserted, and
+// wrong magic, unsupported version (v1 included), header or record CRC
+// damage — must throw schedule_store_error from load() with nothing
+// inserted, a save() that fails must leave the previous store intact, and
 // warm_start() must serve mmap-backed hits that promote into the table
 // while per-record corruption degrades to a counted miss, never a wrong
 // route.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
@@ -120,6 +123,38 @@ TEST(ScheduleStore, SaveAnEmptyCacheAndLoadItBack) {
   EXPECT_EQ(fresh.size(), 0U);
 }
 
+TEST(ScheduleStore, SaveIsCrashSafeWhenTheTempFileCannotBeCreated) {
+  // save() writes <path>.tmp.<pid> and renames it over <path>.  A directory
+  // squatting on the temp name makes the create fail: save() must throw and
+  // leave the previous store untouched, still loading every record.
+  const Fixture fx = make_saved_store("crash-safe.bnbstore", 0x5702E07);
+  const std::vector<unsigned char> before = read_file(fx.path);
+  const std::string tmp = fx.path + ".tmp." + std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0) << tmp;
+
+  ScheduleCache other(16);
+  const CompiledBnb plan(7);
+  RouteScratch scratch;
+  Rng rng(0x5702E08);
+  for (int i = 0; i < 3; ++i) (void)other.route(plan, random_perm(128, rng), scratch);
+  EXPECT_THROW((void)other.save(fx.path), schedule_store_error);
+  EXPECT_EQ(other.stats().store_saved, 0U);
+  ::rmdir(tmp.c_str());
+
+  EXPECT_EQ(read_file(fx.path), before) << "a failed save must not touch the old store";
+  ScheduleCache reloaded(16);
+  ASSERT_EQ(reloaded.load(fx.path), fx.saved);
+  expect_replays_bit_identical(reloaded, fx, nullptr, "after failed save");
+
+  // With the obstruction gone, the same save goes through and leaves no
+  // temp file behind.
+  EXPECT_EQ(other.save(fx.path), 3U);
+  struct stat st = {};
+  EXPECT_NE(::stat(tmp.c_str(), &st), 0) << "temp file left behind";
+  ScheduleCache replaced(16);
+  EXPECT_EQ(replaced.load(fx.path), 3U);
+}
+
 // ---- refusal diagnostics ------------------------------------------------
 
 TEST(ScheduleStore, LoadMissingFileThrows) {
@@ -144,21 +179,31 @@ TEST(ScheduleStore, LoadRejectsForeignAndDamagedHeaders) {
   write_file(truncated, std::vector<unsigned char>(good.begin(), good.begin() + 16));
   EXPECT_THROW((void)cache.load(truncated), schedule_store_error);
 
-  // A future version with a correct CRC: refused as unsupported, so the
-  // version check (not the CRC) is what fires.
-  std::vector<unsigned char> v2 = good;
-  const std::uint32_t version = 2;
-  std::memcpy(v2.data() + 8, &version, 4);
-  const std::uint32_t crc = crc32(v2.data(), 28);
-  std::memcpy(v2.data() + 28, &crc, 4);
-  const std::string v2_path = temp_path("v2.bnbstore");
-  write_file(v2_path, v2);
-  try {
-    (void)cache.load(v2_path);
-    FAIL() << "version 2 must be refused";
-  } catch (const schedule_store_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version 2"), std::string::npos)
-        << e.what();
+  // Another version with a correct CRC: refused as unsupported, so the
+  // version check (not the CRC) is what fires.  v1 is the previous format
+  // (records keyed by the old serial digest); v3 stands for a future one.
+  // The diagnostic names both the file's version and the one this build
+  // reads.
+  for (const std::uint32_t version : {1U, 3U}) {
+    std::vector<unsigned char> other = good;
+    std::memcpy(other.data() + 8, &version, 4);
+    const std::uint32_t crc = crc32(other.data(), 28);
+    std::memcpy(other.data() + 28, &crc, 4);
+    const std::string other_path = temp_path("other-version.bnbstore");
+    write_file(other_path, other);
+    try {
+      (void)cache.load(other_path);
+      FAIL() << "version " << version << " must be refused";
+    } catch (const schedule_store_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("bnb.schedstore.v" + std::to_string(version)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("bnb.schedstore.v2"), std::string::npos) << what;
+    }
+    EXPECT_THROW((void)cache.warm_start(other_path), schedule_store_error);
   }
 
   // Header bytes damaged without fixing the CRC.
