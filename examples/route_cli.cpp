@@ -29,8 +29,8 @@
 //                             # an unreadable or corrupt store exits 2
 //   route_cli --stream --batch 200 --repeat 5 --threads 2 64
 //                             # stream 200 random 64-line permutations 5 times
-//                             # through the StreamEngine (solver/applier
-//                             # pipeline at --threads >= 2, inline at 1) over a
+//                             # through the StreamEngine (T - 1 solvers and
+//                             # an applier at --threads T >= 2, inline at 1) over a
 //                             # shared ScheduleCache; passes after the first
 //                             # are pure cache hits
 //   route_cli --chaos --rounds 2000 --seed 7 16
@@ -40,7 +40,8 @@
 //                             # concurrent with a backpressured StreamEngine
 //                             # over a shared ScheduleCache; exits 0 iff no
 //                             # silent misroute, no stall, and the circuit
-//                             # breaker tripped AND recovered (RELIABILITY.md)
+//                             # breaker tripped AND recovered (RELIABILITY.md);
+//                             # --threads T sets the stream's width (default 1)
 //   route_cli --metrics=prom --repeat 100 3 0 1 2
 //                             # any mode + --metrics[=json|prom] dumps the
 //                             # global MetricsRegistry (counters, gauges,
@@ -64,6 +65,8 @@
 // Exit code 0 iff the permutation(s) were routed (always, for valid input);
 // under --inject, 0 iff no route ended in a SILENT misroute — caught-and-
 // healed faults still exit 0, that is the point of the robust layer.
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -317,11 +320,15 @@ int run_chaos(std::uint64_t seed, std::size_t rounds, unsigned threads,
     std::fputs("--rounds must be in [1, 1000000]\n", stderr);
     return 2;
   }
+  if (threads == 0 || threads > 256) {
+    std::fputs("--chaos needs 1 <= --threads <= 256\n", stderr);
+    return 2;
+  }
   bnb::ChaosConfig config;
   config.m = bnb::log2_exact(n);
   config.seed = seed;
   config.router_routes = rounds;
-  config.stream_threads = threads >= 2 ? 2 : 1;
+  config.stream_threads = threads;
   // --timeseries-out: the campaign runs its own registry, so the sampler
   // has to live inside it (fault/chaos.hpp wires one in when asked).
   if (!timeseries_out.empty()) config.sample_interval_ms = 25;
@@ -347,8 +354,8 @@ int run_chaos(std::uint64_t seed, std::size_t rounds, unsigned threads,
               static_cast<unsigned long long>(report.breaker_recoveries),
               static_cast<unsigned long long>(report.backoffs),
               static_cast<unsigned long long>(report.quarantined));
-  std::printf("stream: %zu ok, %zu isolated failures, %zu shed, %zu stalls\n",
-              report.stream_routes, report.stream_item_failures,
+  std::printf("stream: %u thread%s, %zu ok, %zu isolated failures, %zu shed, %zu stalls\n",
+              threads, threads == 1 ? "" : "s", report.stream_routes, report.stream_item_failures,
               report.stream_shed, report.stream_stalls);
   print_latency_percentiles({"bnb_route_ns", "bnb_solve_ns", "bnb_apply_ns"});
   if (!timeseries_out.empty()) {
@@ -453,10 +460,11 @@ int run_stream(std::size_t count, unsigned threads, std::size_t repeat,
     return metric != nullptr ? metric->counter : 0;
   };
   const auto* high_water = snap.find("bnb_stream_ring_high_water");
+  // The engine rounds ring_depth up to a power of two and to 2 cells per solver.
   std::printf("ring: high-water %lld solved schedule%s queued (depth %zu)\n",
               high_water != nullptr ? static_cast<long long>(high_water->gauge) : 0,
               high_water != nullptr && high_water->gauge == 1 ? "" : "s",
-              options.ring_depth);
+              std::bit_ceil(std::max<std::size_t>(options.ring_depth, 2 * (threads - 1))));
   std::printf("cache: %llu hits, %llu misses, %llu evictions, %llu bypasses "
               "(%zu entries)\n",
               counter_of("bnb_cache_hits_total"), counter_of("bnb_cache_misses_total"),

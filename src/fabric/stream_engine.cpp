@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -23,63 +24,15 @@ namespace {
                                         .count());
 }
 
-/// Single-producer single-consumer ring of solved schedules.  Monotonic
-/// head/tail counters masked into a power-of-two slot array; the producer
-/// publishes with a release store of head_, the consumer with a release
-/// store of tail_ — the classic two-index SPSC queue, wait-free on both
-/// sides (callers spin with yield on full/empty).  push/pop SWAP with the
-/// ring storage instead of move-assigning: the caller's slot gets the
-/// retired occupant back, so its schedule buffers circulate between the
-/// stages and a steady-state stream re-solves into already-sized memory.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t pow2 = 2;
-    while (pow2 < capacity) pow2 <<= 1;
-    mask_ = pow2 - 1;
-    slots_.resize(pow2);
-  }
-
-  [[nodiscard]] bool try_push(T& value) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head - tail_.load(std::memory_order_acquire) > mask_) return false;
-    std::swap(slots_[head & mask_], value);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  [[nodiscard]] bool try_pop(T& out) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_.load(std::memory_order_acquire)) return false;
-    std::swap(out, slots_[tail & mask_]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Approximate occupancy (exact from the producer thread).
-  [[nodiscard]] std::uint64_t size() const noexcept {
-    return head_.load(std::memory_order_relaxed) - tail_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::vector<T> slots_;
-  std::uint64_t mask_ = 0;
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
-};
-
-/// One solved permutation in flight between the solver and applier stages.
+/// One solved permutation in flight between a solver and the applier.
 /// BOTH lanes travel by value: small plans (m <= SmallSchedule::kMaxM) in
 /// `small`, general plans in `schedule` — no shared_ptr churn in either.
 /// The swap-based ring recirculates the schedule's buffers between the
-/// stages, so once every ring slot has been shaped a pipelined stream
-/// solves, ships, and replays with no per-permutation allocation at all;
-/// small.solved() tells the applier which lane to replay.  Under
-/// isolate_errors a solver-side failure still ships a slot with `failed`
-/// set so the applier can retire the index as kFailed in order.
+/// threads, so once every ring cell has been shaped a pipelined stream
+/// solves, ships, and replays with no per-permutation allocation at all.
+/// Under isolate_errors a solver-side failure still ships a slot with
+/// `failed` set so the applier can retire the index as kFailed in order.
 struct StreamSlot {
-  std::size_t index = 0;
   ControlSchedule schedule;
   SmallSchedule small;
   bool failed = false;
@@ -93,10 +46,107 @@ struct StreamSlot {
 #endif
 };
 
-/// First-error-wins capture shared by the two stages (route_batch
-/// semantics): the first recorded exception is the cause, but every
-/// failing index is retained so batch_route_error::failed_indices() can
-/// report concurrent damage.
+/// The one ordered ring between the solver workers and the applier.  Item
+/// i owns cell i & mask for one lap, and the cell's sequence number says
+/// whose turn it is: a worker may publish item i once seq reads i (item
+/// i - depth has been retired), and publishing stores seq = i + 1; the
+/// applier, retiring strictly in stream order, takes item i once seq reads
+/// i + 1 and frees the cell for item i + depth.  Any number of workers
+/// publish concurrently, each into the one cell its stream index names, so
+/// neither side needs a lock or a CAS (callers spin with yield).  publish
+/// and retire SWAP with the cell storage instead of move-assigning: the
+/// caller's slot gets the cell's previous occupant back, so schedule
+/// buffers circulate between the threads and a steady-state stream
+/// re-solves into already-sized memory.
+class OrderedRing {
+ public:
+  explicit OrderedRing(std::size_t depth) : mask_(depth - 1), cells_(depth) {
+    for (std::size_t j = 0; j < depth; ++j) cells_[j].seq.store(j, std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] bool can_publish(std::uint64_t i) const noexcept {
+    return cells_[i & mask_].seq.load(std::memory_order_acquire) == i;
+  }
+
+  /// Items retired so far.  Read after can_publish(i) and before
+  /// publish(i) it lies in [i + 1 - depth, i]: the retire that freed the
+  /// cell stored it before its seq release, and item i cannot have been
+  /// retired yet.  So i + 1 - retired() is in [1, depth].
+  [[nodiscard]] std::uint64_t retired() const noexcept {
+    return retired_.load(std::memory_order_relaxed);
+  }
+
+  void publish(std::uint64_t i, StreamSlot& slot) {
+    Cell& cell = cells_[i & mask_];
+    std::swap(cell.slot, slot);
+    cell.seq.store(i + 1, std::memory_order_release);
+  }
+
+  [[nodiscard]] bool can_retire(std::uint64_t i) const noexcept {
+    return cells_[i & mask_].seq.load(std::memory_order_acquire) == i + 1;
+  }
+
+  void retire(std::uint64_t i, StreamSlot& out) {
+    Cell& cell = cells_[i & mask_];
+    std::swap(out, cell.slot);
+    retired_.store(i + 1, std::memory_order_relaxed);
+    cell.seq.store(i + mask_ + 1, std::memory_order_release);
+  }
+
+ private:
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> seq{0};
+    StreamSlot slot;
+  };
+
+  std::uint64_t mask_;
+  std::vector<Cell> cells_;
+  alignas(64) std::atomic<std::uint64_t> retired_{0};
+};
+
+/// Schedules one thread solved cold or served from the cache.
+struct SolveTally {
+  std::uint64_t solved = 0;
+  std::uint64_t hits = 0;
+};
+
+/// digest -> find -> solve-on-miss -> insert for one item, into `slot` on
+/// the plan's lane.  A plan always uses the same lane, so the other lane's
+/// field in a recirculated slot is never read.
+void acquire_schedule(const CompiledBnb& plan, ScheduleCache* cache, const Permutation& pi,
+                      RouteScratch& scratch, StreamSlot& slot, SolveTally& tally) {
+  const bool small = plan.small_capable();
+  if (cache != nullptr) {
+    const PermutationDigest digest = digest_permutation(pi);
+    if (small ? cache->find_small(digest, slot.small) : cache->find(digest, slot.schedule)) {
+      ++tally.hits;
+      return;
+    }
+    if (small) {
+      slot.small = plan.compile_small(pi, scratch);
+      cache->insert_small(digest, slot.small);
+    } else {
+      plan.solve(pi, scratch, slot.schedule);
+      cache->insert(digest, slot.schedule);
+    }
+  } else if (small) {
+    slot.small = plan.compile_small(pi, scratch);
+  } else {
+    plan.solve(pi, scratch, slot.schedule);
+  }
+  ++tally.solved;
+}
+
+[[nodiscard]] CompiledBnb::Output apply_schedule(const CompiledBnb& plan, const StreamSlot& slot,
+                                                 const Permutation& pi, RouteScratch& scratch) {
+  return plan.small_capable() ? plan.apply_small(slot.small, pi, scratch)
+                              : plan.apply(slot.schedule, pi, scratch);
+}
+
+/// First-error-wins capture shared by the solvers and the applier
+/// (route_batch semantics): the first recorded exception is the cause, but
+/// every failing index is retained so batch_route_error::failed_indices()
+/// can report concurrent damage.
 struct ErrorLatch {
   std::mutex mu;
   std::exception_ptr error;
@@ -203,7 +253,8 @@ StreamEngine::StreamEngine(const CompiledBnb& plan, Options options)
       apply_hook_(std::move(options.apply_hook)) {
   BNB_EXPECTS(options.threads <= 256);
   if (threads_ == 0) {
-    threads_ = std::thread::hardware_concurrency() > 1 ? 2 : 1;
+    // Auto: one thread per hardware thread (inline on a 1-core host).
+    threads_ = std::clamp(std::thread::hardware_concurrency(), 1U, 256U);
   }
   obs::MetricsRegistry& reg =
       options.registry != nullptr ? *options.registry : obs::MetricsRegistry::global();
@@ -222,7 +273,7 @@ StreamEngine::StreamEngine(const CompiledBnb& plan, Options options)
   cancelled_runs_ = &reg.counter("bnb_stream_cancelled_total",
                                  "stream runs interrupted by cancel() or destruction");
   ring_high_water_ = &reg.gauge("bnb_stream_ring_high_water",
-                                "max solved schedules queued in any run's SPSC ring");
+                                "max solved schedules queued in any run's ordered ring");
 }
 
 StreamEngine::~StreamEngine() {
@@ -282,16 +333,13 @@ StreamEngine::Result StreamEngine::run_inline(std::span<const Permutation> perms
   const std::size_t n = plan_.inputs();
   Result result;
   result.stats.permutations = perms.size();
-  result.stats.threads_used = 1;
-  result.stats.pipelined = false;
   result.dest.resize(perms.size() * n);
   result.status.assign(perms.size(), StreamItemStatus::kOk);
 
   RouteScratch scratch;
-  ControlSchedule local;  // reused across solves and cache copy-outs: the
-                          // inline general lane is allocation-free once
-                          // `local` has taken this plan's shape
-  const bool small = plan_.small_capable();
+  StreamSlot slot;  // reused across items: the loop is allocation-free once
+                    // its schedule has taken this plan's shape
+  SolveTally tally;
   bool all_ok = true;
 #if BNB_OBS_COMPILED
   // The enclosing run() trace; each stream item becomes a child trace of
@@ -310,44 +358,9 @@ StreamEngine::Result StreamEngine::run_inline(std::span<const Permutation> perms
 #endif
     try {
       if (solve_hook_) solve_hook_(i);
-      CompiledBnb::Output out{};
-      if (small) {
-        // Register-resident lane: the flattened schedule lives on this
-        // stack frame (cache hits copy it by value), so the whole
-        // iteration is allocation-free once the scratch is warm.
-        SmallSchedule sched;
-        if (cache_ != nullptr) {
-          const PermutationDigest digest = digest_permutation(perms[i]);
-          if (cache_->find_small(digest, sched)) {
-            ++result.stats.cache_hits;
-          } else {
-            sched = plan_.compile_small(perms[i], scratch);
-            ++result.stats.solved;
-            cache_->insert_small(digest, sched);
-          }
-        } else {
-          sched = plan_.compile_small(perms[i], scratch);
-          ++result.stats.solved;
-        }
-        if (apply_hook_) apply_hook_(i);
-        out = plan_.apply_small(sched, perms[i], scratch);
-      } else if (cache_ != nullptr) {
-        const PermutationDigest digest = digest_permutation(perms[i]);
-        if (cache_->find(digest, local)) {
-          ++result.stats.cache_hits;
-        } else {
-          plan_.solve(perms[i], scratch, local);
-          ++result.stats.solved;
-          cache_->insert(digest, local);
-        }
-        if (apply_hook_) apply_hook_(i);
-        out = plan_.apply(local, perms[i], scratch);
-      } else {
-        plan_.solve(perms[i], scratch, local);
-        ++result.stats.solved;
-        if (apply_hook_) apply_hook_(i);
-        out = plan_.apply(local, perms[i], scratch);
-      }
+      acquire_schedule(plan_, cache_, perms[i], scratch, slot, tally);
+      if (apply_hook_) apply_hook_(i);
+      const CompiledBnb::Output out = apply_schedule(plan_, slot, perms[i], scratch);
       all_ok &= out.self_routed;
       std::copy(out.dest.begin(), out.dest.end(), result.dest.begin() + i * n);
     } catch (...) {
@@ -363,40 +376,50 @@ StreamEngine::Result StreamEngine::run_inline(std::span<const Permutation> perms
       latch.rethrow(perms.size());
     }
   }
+  result.stats.solved = tally.solved;
+  result.stats.cache_hits = tally.hits;
   result.stats.all_self_routed = all_ok;
   return result;
 }
 
 StreamEngine::Result StreamEngine::run_pipelined(std::span<const Permutation> perms) const {
   const std::size_t n = plan_.inputs();
+  const std::size_t items = perms.size();
   Result result;
-  result.stats.permutations = perms.size();
-  result.stats.threads_used = 2;  // one solver + one applier, regardless of asked-for extras
-  result.stats.pipelined = true;
-  result.dest.resize(perms.size() * n);
-  result.status.assign(perms.size(), StreamItemStatus::kOk);
-  if (perms.empty()) {
+  result.stats.permutations = items;
+  result.dest.resize(items * n);
+  result.status.assign(items, StreamItemStatus::kOk);
+  if (items == 0) {
     result.stats.all_self_routed = true;
     return result;
   }
+  // T - 1 solver workers, never more than there are items to claim.
+  const std::size_t solvers = std::min<std::size_t>(threads_ - 1, items);
+  result.stats.threads_used = static_cast<unsigned>(solvers + 1);
+  result.stats.pipelined = true;
 
-  SpscRing<StreamSlot> ring(ring_depth_);
+  // Two cells per solver at least, so every worker can have one item
+  // published while it solves the next.
+  OrderedRing ring(std::bit_ceil(std::max(ring_depth_, 2 * solvers)));
+  std::atomic<std::size_t> next{0};       ///< next stream index to claim
+  std::atomic<std::size_t> published{0};  ///< for stall diagnostics
   std::atomic<bool> stop{false};
   std::atomic<bool> stalled{false};
   ErrorLatch latch;
-  std::atomic<std::uint64_t> solver_solved{0};
-  std::atomic<std::uint64_t> solver_hits{0};
-  std::atomic<std::uint64_t> solver_high_water{0};
-  std::atomic<std::uint64_t> solver_done{0};  ///< items pushed, for stall diagnostics
+  struct alignas(64) WorkerTally {
+    SolveTally counts;
+    std::uint64_t high_water = 0;
+  };
+  std::vector<WorkerTally> tallies(solvers);
 
-  // WATCHDOG: both stages stamp last_progress after each retired item; a
-  // stage spinning on its ring longer than the timeout without seeing the
-  // stamp move declares the stream stalled (the other stage is stuck), sets
-  // stop, and the run fails with stream_stall_error after the join.  The
-  // join itself completes at the stuck stage's next stop check — a stage
-  // that never returns from user code (a hook or solve that truly hangs
-  // forever) is not interruptible in portable C++; the watchdog bounds
-  // every finite stall.
+  // WATCHDOG: every publish and every retire stamps last_progress; a
+  // thread spinning on the ring longer than the timeout without seeing the
+  // stamp move declares the stream stalled (some other thread is stuck),
+  // sets stop, and the run fails with stream_stall_error after the join.
+  // The join itself completes at the stuck thread's next stop check — a
+  // thread that never returns from user code (a hook or solve that truly
+  // hangs forever) is not interruptible in portable C++; the watchdog
+  // bounds every finite stall.
   const bool watchdog = watchdog_timeout_ms_ > 0;
   const std::uint64_t timeout_ns = watchdog_timeout_ms_ * 1'000'000ULL;
   std::atomic<std::uint64_t> last_progress{now_ns()};
@@ -405,45 +428,38 @@ StreamEngine::Result StreamEngine::run_pipelined(std::span<const Permutation> pe
   };
   const auto stalled_now = [&] {
     if (!watchdog) return false;
-    // Load the stamp BEFORE reading the clock: the other stage may advance
+    // Load the stamp BEFORE reading the clock: another thread may advance
     // last_progress between the two reads, and with the opposite order the
     // unsigned subtraction underflows into an instant false stall.  The
     // now > last guard absorbs any residual skew the same way.
     const std::uint64_t last = last_progress.load(std::memory_order_relaxed);
     const std::uint64_t now = now_ns();
-    return now > last && now - last > timeout_ns;
+    if (now <= last || now - last <= timeout_ns) return false;
+    stalled.store(true, std::memory_order_release);
+    stop.store(true, std::memory_order_release);
+    return true;
   };
-
-  // SOLVER stage (spawned): control-solve permutation k+1 while the applier
-  // is still delivering permutation k.
-  const bool small = plan_.small_capable();
+  const auto halted = [&] {
+    return stop.load(std::memory_order_acquire) || cancelled_.load(std::memory_order_acquire);
+  };
 #if BNB_OBS_COMPILED
-  // The run() trace, captured on the calling thread so both stages can
-  // parent their per-item traces to it (TLS does not cross the spawn).
+  // The run() trace, captured on the calling thread so every thread can
+  // parent its per-item traces to it (TLS does not cross the spawn).
   const obs::TraceContext run_ctx = obs::current_context();
 #endif
-  std::thread solver([&] {
+
+  // SOLVERS (spawned): each claims the next stream index, solves it while
+  // the applier is still delivering earlier items, and publishes it into
+  // the item's own ring cell.
+  const auto solve_items = [&](WorkerTally& tally) {
     RouteScratch scratch;
-    std::uint64_t solved = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t high_water = 0;
-    const auto flush_counts = [&] {
-      solver_solved.store(solved, std::memory_order_relaxed);
-      solver_hits.store(hits, std::memory_order_relaxed);
-      solver_high_water.store(high_water, std::memory_order_relaxed);
-    };
-    // One slot reused across the whole stream: the swap-push hands back the
-    // ring's retired occupant, whose schedule buffers are already shaped —
-    // steady state solves into recirculated memory, allocation-free.
+    // One slot reused across the worker's items: publish hands back the
+    // cell's retired occupant, whose schedule buffers are already shaped.
     StreamSlot slot;
-    for (std::size_t i = 0; i < perms.size(); ++i) {
-      if (stop.load(std::memory_order_acquire) ||
-          cancelled_.load(std::memory_order_acquire)) {
-        break;
-      }
-      slot.index = i;
+    while (!halted()) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= items) return;
       slot.failed = false;
-      slot.small = SmallSchedule{};  // a stale small lane must not shadow general
 #if BNB_OBS_COMPILED
       // One fresh child trace per stream item: the solve below runs inside
       // it on this thread, and the id ships downstream in the slot so the
@@ -453,103 +469,77 @@ StreamEngine::Result StreamEngine::run_pipelined(std::span<const Permutation> pe
 #endif
       try {
         if (solve_hook_) solve_hook_(i);
-        if (small) {
-          // Small lane: the flattened schedule rides the ring by value —
-          // no shared_ptr per permutation even on a cold stream.
-          if (cache_ != nullptr) {
-            const PermutationDigest digest = digest_permutation(perms[i]);
-            if (cache_->find_small(digest, slot.small)) {
-              ++hits;
-            } else {
-              slot.small = plan_.compile_small(perms[i], scratch);
-              ++solved;
-              cache_->insert_small(digest, slot.small);
-            }
-          } else {
-            slot.small = plan_.compile_small(perms[i], scratch);
-            ++solved;
-          }
-        } else if (cache_ != nullptr) {
-          const PermutationDigest digest = digest_permutation(perms[i]);
-          if (cache_->find(digest, slot.schedule)) {
-            ++hits;
-          } else {
-            plan_.solve(perms[i], scratch, slot.schedule);
-            ++solved;
-            cache_->insert(digest, slot.schedule);
-          }
-        } else {
-          plan_.solve(perms[i], scratch, slot.schedule);
-          ++solved;
-        }
+        acquire_schedule(plan_, cache_, perms[i], scratch, slot, tally.counts);
       } catch (...) {
         if (!isolate_errors_) {
           latch.record(i, stop);
-          break;
+          return;
         }
         // Isolation: ship the failure downstream so the applier retires
-        // the index as kFailed in stream order (the schedule keeps its
-        // buffers; `failed` gates the applier off it).
-        slot.schedule.set_solved(false);
-        slot.small = SmallSchedule{};
+        // the index as kFailed in stream order.
         slot.failed = true;
       }
 #if BNB_OBS_COMPILED
-      // Queue-wait starts here: after the solve, before the push loop, so
-      // time spent spinning on a full ring (backpressure) counts as queue
-      // delay — exactly the contended-MIN dwell the trace should show.
+      // Queue-wait starts here: after the solve, before the wait for the
+      // item's cell, so backpressure counts as queue delay.
       slot.enqueue_ns = obs::now_ns();
 #endif
-      while (!ring.try_push(slot)) {
-        if (stop.load(std::memory_order_acquire) ||
-            cancelled_.load(std::memory_order_acquire)) {
-          flush_counts();
-          return;
-        }
-        if (stalled_now()) {
-          // The applier stopped draining: fail the stream, don't spin forever.
-          stalled.store(true, std::memory_order_release);
-          stop.store(true, std::memory_order_release);
-          flush_counts();
-          return;
-        }
+      while (!ring.can_publish(i)) {
+        if (halted() || stalled_now()) return;
         std::this_thread::yield();
       }
-      solver_done.fetch_add(1, std::memory_order_relaxed);
+      // Occupancy = published and not yet retired, counted as the ring
+      // span from the oldest unretired item through this one.  retired()
+      // is read before the publish, so the difference cannot wrap.
+      tally.high_water = std::max<std::uint64_t>(tally.high_water, i + 1 - ring.retired());
+      ring.publish(i, slot);
+      published.fetch_add(1, std::memory_order_relaxed);
       progressed();
-      high_water = std::max(high_water, ring.size());  // producer-side: exact
     }
-    flush_counts();
-  });
+  };
 
-  // APPLIER stage (calling thread): replay solved schedules in stream order.
+  // Joins on every exit path, after setting stop to release any worker
+  // still waiting on a full ring.  Declared after everything the workers
+  // touch, so it is destroyed first.
+  struct Crew {
+    std::atomic<bool>& stop;
+    std::vector<std::thread> threads;
+    void join() {
+      stop.store(true, std::memory_order_release);
+      for (std::thread& t : threads) {
+        if (t.joinable()) t.join();
+      }
+    }
+    ~Crew() { join(); }
+  } crew{stop, {}};
+  crew.threads.reserve(solvers);
+  for (WorkerTally& tally : tallies) crew.threads.emplace_back(solve_items, std::ref(tally));
+
+  // APPLIER (calling thread): retire items strictly in stream order.
   RouteScratch scratch;
   bool all_ok = true;
   std::size_t applied = 0;
   bool cancelled_hit = false;
-  // Reused across pops: try_pop swaps the previously-applied slot (shaped
-  // buffers and all) back into the ring for the solver to recycle.
+  // Reused across retires: each retire swaps the previously applied slot
+  // (shaped buffers and all) back into the ring for a solver to recycle.
   StreamSlot slot;
-  while (applied < perms.size()) {
+  while (applied < items) {
     if (cancelled_.load(std::memory_order_acquire)) {
       cancelled_hit = true;
       break;
     }
-    if (!ring.try_pop(slot)) {
-      if (stop.load(std::memory_order_acquire)) break;
-      if (stalled_now()) {
-        // The solver stopped producing: fail the stream, don't spin forever.
-        stalled.store(true, std::memory_order_release);
-        stop.store(true, std::memory_order_release);
-        break;
-      }
+    if (!ring.can_retire(applied)) {
+      if (stop.load(std::memory_order_acquire) || stalled_now()) break;
       std::this_thread::yield();
       continue;
     }
+    const std::size_t i = applied;
+    ring.retire(i, slot);
 #if BNB_OBS_COMPILED
     if (slot.trace_id != 0 && obs::runtime_enabled()) {
       // Retire the queue-wait pseudo-span: enqueue stamp to pickup, under
       // the ITEM's trace id (carried by the slot, not this thread's TLS).
+      // It includes any reorder wait behind a slower earlier item.
       const std::uint64_t picked = now_ns();
       if (picked >= slot.enqueue_ns) {
         obs::record_phase(obs::Phase::kQueueWait, slot.enqueue_ns,
@@ -559,50 +549,46 @@ StreamEngine::Result StreamEngine::run_pipelined(std::span<const Permutation> pe
     }
 #endif
     if (slot.failed) {
-      result.status[slot.index] = StreamItemStatus::kFailed;
+      result.status[i] = StreamItemStatus::kFailed;
       ++result.stats.failed;
-      ++applied;
-      progressed();
-      continue;
-    }
-    try {
+    } else {
+      try {
 #if BNB_OBS_COMPILED
-      BNB_OBS_TRACE_CHILD(item_scope, slot.trace_id, run_ctx.trace_id);
+        BNB_OBS_TRACE_CHILD(item_scope, slot.trace_id, run_ctx.trace_id);
 #endif
-      if (apply_hook_) apply_hook_(slot.index);
-      const CompiledBnb::Output out =
-          slot.small.solved()
-              ? plan_.apply_small(slot.small, perms[slot.index], scratch)
-              : plan_.apply(slot.schedule, perms[slot.index], scratch);
-      all_ok &= out.self_routed;
-      std::copy(out.dest.begin(), out.dest.end(), result.dest.begin() + slot.index * n);
-    } catch (...) {
-      if (!isolate_errors_) {
-        latch.record(slot.index, stop);
-        break;
+        if (apply_hook_) apply_hook_(i);
+        const CompiledBnb::Output out = apply_schedule(plan_, slot, perms[i], scratch);
+        all_ok &= out.self_routed;
+        std::copy(out.dest.begin(), out.dest.end(), result.dest.begin() + i * n);
+      } catch (...) {
+        if (!isolate_errors_) {
+          latch.record(i, stop);
+          break;
+        }
+        result.status[i] = StreamItemStatus::kFailed;
+        ++result.stats.failed;
       }
-      result.status[slot.index] = StreamItemStatus::kFailed;
-      ++result.stats.failed;
     }
     ++applied;
     progressed();
   }
-  stop.store(true, std::memory_order_release);  // release a solver blocked on a full ring
-  solver.join();
+  crew.join();
 
-  if (latch.error) latch.rethrow(perms.size());
+  if (latch.error) latch.rethrow(items);
   if (stalled.load(std::memory_order_acquire)) {
     stalls_->inc();
-    throw stream_stall_error(solver_done.load(std::memory_order_relaxed), applied,
-                             perms.size(), watchdog_timeout_ms_);
+    throw stream_stall_error(published.load(std::memory_order_relaxed), applied, items,
+                             watchdog_timeout_ms_);
   }
   if (cancelled_hit || cancelled_.load(std::memory_order_acquire)) {
     cancelled_runs_->inc();
     throw stream_cancelled_error();
   }
-  result.stats.solved = solver_solved.load(std::memory_order_relaxed);
-  result.stats.cache_hits = solver_hits.load(std::memory_order_relaxed);
-  result.stats.ring_high_water = solver_high_water.load(std::memory_order_relaxed);
+  for (const WorkerTally& tally : tallies) {
+    result.stats.solved += tally.counts.solved;
+    result.stats.cache_hits += tally.counts.hits;
+    result.stats.ring_high_water = std::max(result.stats.ring_high_water, tally.high_water);
+  }
   result.stats.all_self_routed = all_ok;
   return result;
 }

@@ -2,23 +2,29 @@
 //
 // route_batch() parallelizes across whole permutations; StreamEngine instead
 // pipelines WITHIN the route the way the paper's fabric does (Eq. 9 assumes
-// the switches for frame k+1 settle while frame k drains): a SOLVER role
-// runs the arbiter-tree control solve for permutation k+1 while an APPLIER
-// role replays the already-solved schedule of permutation k, the two
-// connected by a lock-free SPSC ring buffer of solved schedules.
+// the switches for frame k+1 settle while frame k drains): SOLVER workers
+// run the arbiter-tree control solve for later permutations while the
+// APPLIER replays the already-solved schedules of earlier ones, the two
+// sides connected by one ordered ring of solved schedules.
 //
-//   * threads = 2 (or Options::threads >= 2): the solver runs on a spawned
-//     worker, the applier on the calling thread; throughput approaches the
-//     slower of the two stages instead of their sum.
-//   * threads = 1 (or a 1-core host with threads=0 auto): graceful
+//   * threads = T >= 2: T - 1 solver workers (never more than the run has
+//     items) plus the applier on the calling thread.  Each worker claims
+//     the next stream index from a shared counter, solves it into its own
+//     reused slot, and publishes it into the ring cell that index names;
+//     the applier retires the cells strictly in stream order.  Solve is
+//     the expensive stage, so throughput scales with the solver count
+//     until the applier (or the cores) run out.  threads = 2 is the same
+//     ring with one solver.
+//   * threads = 1 (or a 1-core host with threads = 0 auto): graceful
 //     degeneration to an in-order solve+apply loop on the calling thread —
-//     same results, no ring, no spawn.
+//     same results, no ring, no spawn.  threads = 0 resolves to
+//     std::thread::hardware_concurrency().
 //   * Options::cache: an optional ScheduleCache consulted before solving;
 //     hits skip the solve stage entirely (repeated traffic streams at
 //     apply-only speed) and misses populate the cache.
 //   * SMALL LANE: plans with m <= SmallSchedule::kMaxM stream flattened
 //     SmallSchedules (core/small_schedule.hpp) by value — through the
-//     cache's small lane and the ring slots alike — so small-N traffic
+//     cache's small lane and the ring cells alike — so small-N traffic
 //     pays no shared_ptr allocation per permutation and replays in
 //     registers on the applier side.
 //
@@ -35,14 +41,17 @@
 //     is marked kFailed in Result::status (its dest rows read zero), the
 //     stream keeps going, and Stats::failed counts the damage.  With
 //     isolation off the historic first-error-wins contract holds: the
-//     first stage to throw records its permutation index, both stages
-//     drain, and the error is rethrown on the calling thread as
-//     batch_route_error (now carrying every failing index observed).
-//   * WATCHDOG: with Options::watchdog_timeout_ms, a pipelined stage that
-//     waits on its ring longer than the timeout without ANY stream
-//     progress declares the other stage stalled: the stream stops and
-//     run() throws stream_stall_error with a solved/applied diagnostic
-//     instead of spinning forever.  Pick a timeout well above the worst
+//     first thread to throw records its permutation index, every thread
+//     drains, and the error is rethrown on the calling thread as
+//     batch_route_error (carrying every failing index observed, in the
+//     order they were recorded).
+//   * WATCHDOG: with Options::watchdog_timeout_ms, a pipelined thread that
+//     waits on the ring longer than the timeout without ANY stream
+//     progress (no publish, no retire) declares the stream stalled: the
+//     stream stops and run() throws stream_stall_error with a
+//     solved/applied diagnostic instead of spinning forever.  (One stuck
+//     solver among several trips it too: the others fill the ring and
+//     then wait behind it.)  Pick a timeout well above the worst
 //     single-item latency; the chaos campaign proves the watchdog never
 //     fires spuriously on a healthy stream.  Inline (threads = 1) runs
 //     make progress by definition and never arm the watchdog.
@@ -53,9 +62,10 @@
 //     hangs nor leaves a worker touching freed state (tsan-covered).
 //     A cancelled engine stays cancelled: later run() calls throw.
 //   * Options::solve_hook / apply_hook: per-index instrumentation points
-//     on the solver/applier stages for chaos and latency injection (the
-//     stall tests and bench_chaos drive them); they must return — a hook
-//     that never returns is a genuine hang no watchdog can cancel.
+//     on the solver/applier sides for chaos and latency injection (the
+//     stall tests drive them); solve_hook runs concurrently on every
+//     solver worker.  They must return — a hook that never returns is a
+//     genuine hang no watchdog can cancel.
 //
 // Results are bit-identical to CompiledBnb::route_batch on the same span
 // (tests/test_stream_engine.cpp proves it), and an engine is immutable
@@ -129,12 +139,13 @@ enum class StreamItemStatus : std::uint8_t {
 class StreamEngine {
  public:
   struct Options {
-    /// 0 = auto (2 when the host has more than one hardware thread, else 1);
-    /// 1 = in-order inline loop; >= 2 = solver + applier pipeline (always
-    /// exactly one spawned worker — the pipeline has two stages).
+    /// 0 = auto (std::thread::hardware_concurrency()); 1 = in-order inline
+    /// loop; T >= 2 = min(T - 1, items) spawned solver workers plus the
+    /// calling-thread applier.
     unsigned threads = 0;
-    /// SPSC ring capacity in solved schedules (rounded up to a power of
-    /// two, min 2).  Depth bounds how far the solver may run ahead.
+    /// Ordered-ring capacity in solved schedules, rounded up to a power of
+    /// two and to at least 2 x the solver count.  Depth bounds how far the
+    /// solvers may run ahead of the applier.
     std::size_t ring_depth = 8;
     /// Optional schedule cache consulted before each solve; nullptr = every
     /// permutation is solved cold.  Shared across engines/threads is fine.
@@ -151,8 +162,9 @@ class StreamEngine {
     /// Pipelined-stage stall detection in milliseconds; 0 = disabled.
     std::uint64_t watchdog_timeout_ms = 0;
     /// Chaos/test instrumentation, called with the stream index before the
-    /// stage's work for that item.  Must return; may throw (the throw is
-    /// treated exactly like the stage's own failure).
+    /// solve / apply of that item (solve_hook from any solver thread).
+    /// Must return; may throw (the throw is treated exactly like the
+    /// solve's or apply's own failure).
     std::function<void(std::size_t)> solve_hook;
     std::function<void(std::size_t)> apply_hook;
   };
@@ -161,11 +173,14 @@ class StreamEngine {
     std::uint64_t permutations = 0;  ///< offered to run() (admitted + shed)
     std::uint64_t solved = 0;       ///< cold arbiter-tree solves run
     std::uint64_t cache_hits = 0;   ///< schedules served from Options::cache
-    std::uint64_t ring_high_water = 0;  ///< max solved schedules queued (0 inline)
+    /// Max ring occupancy seen at a publish (0 inline): items published and
+    /// not yet retired, counted as the ring span from the oldest unretired
+    /// item through the one being published, so 1 <= value <= depth.
+    std::uint64_t ring_high_water = 0;
     std::uint64_t failed = 0;       ///< items marked kFailed (isolate_errors)
     std::uint64_t shed = 0;         ///< items refused by admission control
-    unsigned threads_used = 1;
-    bool pipelined = false;         ///< true when solver/applier overlapped
+    unsigned threads_used = 1;      ///< solver workers + the applier (1 inline)
+    bool pipelined = false;         ///< true when solvers and applier overlapped
     bool all_self_routed = false;   ///< over delivered items only
   };
 

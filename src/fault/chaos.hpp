@@ -59,7 +59,7 @@ struct ChaosConfig {
   // -- stream driver (concurrent, shares the cache) -----------------------
   std::size_t stream_perms = 128;  ///< distinct permutations per stream run
   std::size_t stream_runs = 4;     ///< StreamEngine::run calls
-  unsigned stream_threads = 2;     ///< 2 = pipelined (watchdog armed)
+  unsigned stream_threads = 2;     ///< >= 2 = pipelined, T - 1 solvers (watchdog armed)
   std::size_t stream_admission_limit = 0;  ///< 0 = admit everything
   std::uint64_t watchdog_timeout_ms = 2000;
 

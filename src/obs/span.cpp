@@ -39,7 +39,7 @@ struct PhaseTable {
                             "register-resident small-N replay latency");
     histograms[static_cast<std::size_t>(Phase::kQueueWait)] =
         &registry.histogram("bnb_stream_queue_wait_ns",
-                            "stream-item dwell time in the SPSC ring between "
+                            "stream-item dwell time in the ordered ring between "
                             "solver enqueue and applier pickup");
     histograms[static_cast<std::size_t>(Phase::kCacheLookup)] =
         &registry.histogram("bnb_cache_lookup_ns",

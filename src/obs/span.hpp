@@ -14,10 +14,10 @@
 //   kFallback   the behavioral spare-plane route after primary persistence
 //   kStreamRun  one whole StreamEngine::run call
 //   kSmallApply CompiledBnb::apply_small — register-resident small-N replay
-//   kQueueWait  stream-item dwell time in the StreamEngine's SPSC ring: a
-//               PSEUDO-span recorded by the applier between the solver's
-//               enqueue stamp and its own pickup (queue-delay attribution;
-//               no code runs "inside" it)
+//   kQueueWait  stream-item dwell time in the StreamEngine's ordered ring:
+//               a PSEUDO-span recorded by the applier between the solver's
+//               enqueue stamp and its own in-order pickup (queue-delay and
+//               reorder-wait attribution; no code runs "inside" it)
 //   kCacheLookup ScheduleCache general-lane probe, recorded only while a
 //               trace sink is installed (the warm-hit path stays untimed
 //               in steady state — see schedule_cache.cpp)

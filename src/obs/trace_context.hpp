@@ -17,7 +17,7 @@
 //     parent is the enclosing StreamEngine::run trace, so an exported
 //     trace reconstructs run -> item -> {solve, queue-wait, apply} even
 //     though the three spans land on two different threads (the id rides
-//     the SPSC ring inside the StreamSlot).
+//     the ordered ring inside the StreamSlot).
 //   * THREAD IDS are small dense per-process ids (1, 2, ...), assigned on
 //     first use and cached thread-locally — stable tids for Chrome trace
 //     export without the platform's opaque 64-bit handles.

@@ -103,6 +103,25 @@ TEST(ChaosCampaign, GeneralLaneCampaignPasses) {
   EXPECT_EQ(report.silent_misroutes, 0U);
 }
 
+TEST(ChaosCampaign, WideStreamCampaignPasses) {
+  // Three solver workers feeding the ordered ring, concurrent with the
+  // fault-injected router over the shared cache, on both lanes.
+  for (const unsigned m : {4U, 7U}) {
+    ChaosConfig cfg = fast_config();
+    cfg.m = m;
+    cfg.stream_threads = 4;
+    if (m == 7) {
+      cfg.router_routes = 400;
+      cfg.stream_perms = 32;
+    }
+    const ChaosReport report = run_chaos_campaign(cfg);
+    EXPECT_TRUE(report.ok(cfg)) << "m=" << m;
+    EXPECT_EQ(report.silent_misroutes, 0U) << "m=" << m;
+    EXPECT_EQ(report.stream_stalls, 0U) << "m=" << m;
+    EXPECT_TRUE(report.live) << "m=" << m;
+  }
+}
+
 // The PR's acceptance criterion, enforced: a campaign of >= 100k routed
 // permutations with zero silent misroutes, zero stalls, and at least one
 // full breaker trip/recover cycle.  The stream side reuses a 256-perm pool

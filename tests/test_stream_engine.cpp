@@ -1,13 +1,15 @@
 // StreamEngine correctness: the stage-overlapped solver/applier pipeline
 // must deliver the same bits as CompiledBnb::route_batch — in-order inline
-// degeneration, the two-thread SPSC pipeline, and both again with a
-// ScheduleCache attached (repeated traffic streams as hits) — and must
-// preserve route_batch's first-error-wins contract (the failing stream
-// index survives the pipeline).  The threaded cases double as the tsan
-// targets for the ring buffer.
+// degeneration, the ordered-ring pipeline with one and several solver
+// workers, and all again with a ScheduleCache attached (repeated traffic
+// streams as hits) — and must preserve route_batch's first-error-wins
+// contract (the failing stream index survives the pipeline).  The
+// threaded cases double as the tsan targets for the ring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -15,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -58,12 +61,31 @@ TEST(StreamEngine, InlineModeMatchesRouteBatch) {
 }
 
 TEST(StreamEngine, PipelinedModeMatchesRouteBatch) {
-  for (const unsigned m : {3U, 6U, 8U}) {
-    const auto pool = random_pool(m, 32, 0x57E02 + m);
-    StreamEngine::Options options;
-    options.threads = 2;
-    options.ring_depth = 4;
-    expect_matches_route_batch(m, pool, options);
+  // One solver (threads = 2) and several; m = 3 and 6 take the small
+  // lane, 8 and 12 the general one.  Each runs without a cache, then cold
+  // and warm through one.
+  for (const unsigned m : {3U, 6U, 8U, 12U}) {
+    const CompiledBnb plan(m);
+    const auto pool = random_pool(m, m == 12 ? 12 : 40, 0x57E02 + m);
+    const BatchResult want = plan.route_batch(pool);
+    for (const unsigned threads : {2U, 3U, 4U, 8U}) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " threads=" << threads);
+      const StreamEngine bare(plan, {.threads = threads, .ring_depth = 4});
+      const auto cold = bare.run(pool);
+      EXPECT_EQ(cold.dest, want.dest);
+      EXPECT_EQ(cold.stats.all_self_routed, want.all_self_routed);
+      EXPECT_EQ(cold.stats.solved, pool.size());
+
+      ScheduleCache cache(64);
+      const StreamEngine cached(plan, {.threads = threads, .cache = &cache});
+      const auto miss = cached.run(pool);
+      const auto hit = cached.run(pool);
+      EXPECT_EQ(miss.dest, want.dest);
+      EXPECT_EQ(hit.dest, want.dest);
+      EXPECT_EQ(miss.stats.solved, pool.size());
+      EXPECT_EQ(hit.stats.cache_hits, pool.size());
+      EXPECT_EQ(hit.stats.solved, 0U);
+    }
   }
 }
 
@@ -89,25 +111,49 @@ TEST(StreamEngine, ThreadPolicyAndStatsAreReported) {
   EXPECT_EQ(inline_result.stats.solved, pool.size());
   EXPECT_EQ(inline_result.stats.cache_hits, 0U);
 
-  // Asking for more threads than the pipeline has stages still yields the
-  // two-stage solver/applier split.
-  StreamEngine wide_engine(plan, {.threads = 8});
-  const auto wide_result = wide_engine.run(pool);
-  EXPECT_TRUE(wide_result.stats.pipelined);
-  EXPECT_EQ(wide_result.stats.threads_used, 2U);
-  EXPECT_EQ(wide_result.stats.solved, pool.size());
+  // T threads = T - 1 solver workers plus the applier, with the solver
+  // count capped at the number of items in the run.
+  for (const unsigned threads : {2U, 4U, 8U, 16U}) {
+    StreamEngine engine(plan, {.threads = threads});
+    const auto result = engine.run(pool);
+    EXPECT_TRUE(result.stats.pipelined) << "threads=" << threads;
+    EXPECT_EQ(result.stats.threads_used, std::min<std::size_t>(threads - 1, pool.size()) + 1)
+        << "threads=" << threads;
+    EXPECT_EQ(result.stats.solved, pool.size()) << "threads=" << threads;
+    EXPECT_EQ(engine.run(std::span<const Permutation>(pool).first(2)).stats.threads_used,
+              std::min(threads - 1, 2U) + 1)
+        << "threads=" << threads;
+  }
 
-  // Auto (threads = 0) resolves to 1 or 2 depending on the host; either
-  // way the stream must route.
+  // Auto (threads = 0) resolves to one thread per hardware thread.
   StreamEngine auto_engine(plan);
   EXPECT_GE(auto_engine.threads(), 1U);
-  EXPECT_LE(auto_engine.threads(), 2U);
+  EXPECT_LE(auto_engine.threads(), std::max(std::thread::hardware_concurrency(), 1U));
   EXPECT_EQ(auto_engine.run(pool).stats.permutations, pool.size());
+}
+
+TEST(StreamEngine, RingHighWaterStaysWithinTheRingDepth) {
+  // ring_high_water counts items published and not yet retired, so it is
+  // at least 1 on any pipelined run and never exceeds the ring depth:
+  // ring_depth rounded up to a power of two and to 2 x the solver count.
+  const unsigned m = 6;
+  const CompiledBnb plan(m);
+  const auto pool = random_pool(m, 96, 0x57E12);
+  for (const unsigned solvers : {1U, 3U, 7U}) {
+    const std::size_t depth = std::bit_ceil(std::max<std::size_t>(4, 2 * solvers));
+    const StreamEngine engine(plan, {.threads = solvers + 1, .ring_depth = 4});
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto result = engine.run(pool);
+      EXPECT_EQ(result.stats.threads_used, solvers + 1);
+      EXPECT_GT(result.stats.ring_high_water, 0U) << "solvers=" << solvers;
+      EXPECT_LE(result.stats.ring_high_water, depth) << "solvers=" << solvers;
+    }
+  }
 }
 
 TEST(StreamEngine, EmptyStreamIsTriviallyClean) {
   const CompiledBnb plan(4);
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine engine(plan, {.threads = threads});
     const auto result = engine.run({});
     EXPECT_TRUE(result.stats.all_self_routed);
@@ -121,7 +167,7 @@ TEST(StreamEngine, CacheTurnsRepeatedTrafficIntoHits) {
   const auto pool = random_pool(m, 16, 0x57E05);
   const BatchResult want = plan.route_batch(pool);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     ScheduleCache cache(64);
     StreamEngine::Options options;
     options.threads = threads;
@@ -147,7 +193,7 @@ TEST(StreamEngine, FirstErrorWinsNamesTheFailingIndex) {
   auto pool = random_pool(m, 12, 0x57E06);
   pool[7] = identity_perm(8);  // wrong size: the solver's contract trips
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine engine(plan, {.threads = threads});
     try {
       (void)engine.run(pool);
@@ -165,24 +211,30 @@ TEST(StreamEngine, FirstErrorWinsNamesTheFailingIndex) {
 TEST(StreamEngine, IsolatedErrorsCarryPerIndexStatus) {
   // Under isolate_errors a poisoned item must not kill the stream: its
   // index retires as kFailed with a zeroed dest row, every other item
-  // still delivers, and no exception escapes.
+  // still delivers in order, and no exception escapes.  Failures hit both
+  // the solve (wrong-size permutations) and the apply (a throwing hook).
   const unsigned m = 5;
   const std::size_t n = 32;
   const CompiledBnb plan(m);
-  auto pool = random_pool(m, 12, 0x57E08);
+  auto pool = random_pool(m, 24, 0x57E08);
   pool[3] = identity_perm(8);  // wrong size: the solver's contract trips
   pool[9] = identity_perm(4);
+  pool[10] = identity_perm(4);
+  const std::set<std::size_t> bad = {3, 9, 10, 17};
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     options.isolate_errors = true;
+    options.apply_hook = [](std::size_t i) {
+      if (i == 17) throw std::runtime_error("apply fault");
+    };
     StreamEngine engine(plan, options);
     const auto result = engine.run(pool);
     ASSERT_EQ(result.status.size(), pool.size()) << "threads=" << threads;
-    EXPECT_EQ(result.stats.failed, 2U) << "threads=" << threads;
+    EXPECT_EQ(result.stats.failed, bad.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i == 3 || i == 9) {
+      if (bad.contains(i)) {
         EXPECT_EQ(result.status[i], StreamItemStatus::kFailed)
             << "threads=" << threads << " i=" << i;
         for (std::size_t j = 0; j < n; ++j) {
@@ -217,6 +269,38 @@ TEST(StreamEngine, MultipleFailuresAreRetainedInTheBatchError) {
     ASSERT_FALSE(e.failed_indices().empty());
     EXPECT_EQ(e.failed_indices().front(), e.index());
     EXPECT_EQ(e.additional_failures(), e.failed_indices().size() - 1);
+  }
+}
+
+TEST(StreamEngine, StrictModeKeepsEveryConcurrentFailureUnderThreeSolvers) {
+  // Items 2, 3 and 4 are held in the solve hook until all three are in
+  // flight on the three solvers, then all throw: the batch error names
+  // the first one recorded and keeps every failing index.
+  const unsigned m = 5;
+  const CompiledBnb plan(m);
+  const auto pool = random_pool(m, 24, 0x57E14);
+  std::atomic<int> arrived{0};
+  StreamEngine::Options options;
+  options.threads = 4;
+  options.solve_hook = [&](std::size_t i) {
+    if (i < 2 || i > 4) return;
+    arrived.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    throw std::runtime_error("solve fault");
+  };
+  const StreamEngine engine(plan, options);
+  try {
+    (void)engine.run(pool);
+    FAIL() << "failing solves must throw";
+  } catch (const batch_route_error& e) {
+    const std::set<std::size_t> got(e.failed_indices().begin(), e.failed_indices().end());
+    EXPECT_EQ(got, (std::set<std::size_t>{2, 3, 4}));
+    EXPECT_EQ(e.failed_indices().size(), 3U);
+    EXPECT_EQ(e.index(), e.failed_indices().front());
+    EXPECT_EQ(e.additional_failures(), 2U);
   }
 }
 
@@ -267,7 +351,7 @@ TEST(StreamEngine, StrictAdmissionRefusesTheWholeStream) {
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 8, 0x57E0B);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     options.admission_limit = 5;
@@ -294,7 +378,7 @@ TEST(StreamEngine, IsolatingAdmissionShedsTheTail) {
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 8, 0x57E0C);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     options.admission_limit = 5;
@@ -327,23 +411,28 @@ TEST(StreamEngine, WatchdogFailsAStalledSolverInsteadOfHanging) {
   // A solver stuck in user code past the timeout: the applier declares the
   // stream stalled and run() throws stream_stall_error — a diagnostic,
   // not a hang.  (The stuck hook here is finite so the join completes.)
+  // With three solvers the healthy two run ahead, then wait behind the
+  // stuck item with the applier, and the watchdog fires all the same.
   const unsigned m = 4;
   const CompiledBnb plan(m);
-  const auto pool = random_pool(m, 6, 0x57E0D);
+  const auto pool = random_pool(m, 24, 0x57E0D);
 
-  StreamEngine::Options options;
-  options.threads = 2;
-  options.watchdog_timeout_ms = 100;
-  options.solve_hook = [](std::size_t i) {
-    if (i == 2) std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  };
-  StreamEngine engine(plan, options);
-  try {
-    (void)engine.run(pool);
-    FAIL() << "a stalled solver must fail the stream";
-  } catch (const stream_stall_error& e) {
-    EXPECT_EQ(e.total(), pool.size());
-    EXPECT_LT(e.applied(), pool.size());
+  for (const unsigned threads : {2U, 4U}) {
+    StreamEngine::Options options;
+    options.threads = threads;
+    options.watchdog_timeout_ms = 100;
+    options.solve_hook = [](std::size_t i) {
+      if (i == 2) std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    };
+    StreamEngine engine(plan, options);
+    try {
+      (void)engine.run(pool);
+      FAIL() << "a stalled solver must fail the stream (threads=" << threads << ")";
+    } catch (const stream_stall_error& e) {
+      EXPECT_EQ(e.total(), pool.size());
+      EXPECT_LE(e.applied(), 2U) << "the applier cannot pass the stalled item";
+      EXPECT_LT(e.solved(), pool.size());
+    }
   }
 }
 
@@ -363,7 +452,7 @@ TEST(StreamEngine, CancelStopsAnInFlightRun) {
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 64, 0x57E0F);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     std::atomic<bool> started{false};
@@ -399,7 +488,7 @@ TEST(StreamEngine, DestructorDuringStreamCancelsAndJoins) {
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 64, 0x57E10);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     std::atomic<bool> started{false};
@@ -431,70 +520,74 @@ TEST(StreamEngine, PipelinedItemsShareOneTraceAcrossTheHandoff) {
   // The acceptance shape of the causal-tracing work: every pipelined
   // stream item must retire a solve, a queue-wait, and an apply span under
   // ONE trace id, parented to the run's trace, with the solve and apply on
-  // different threads (the id rode the SPSC ring, not thread-local state).
+  // different threads (the id rode the ring, not thread-local state) —
+  // with one solver and with three.
   const unsigned m = 12;  // general lane: solves go through kSolve spans
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 12, 0x57E0C);
+  for (const unsigned threads : {2U, 4U}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
 
-  obs::set_enabled(true);
-  obs::SpanTrace trace(4096);
-  obs::set_trace(&trace);
-  StreamEngine::Options options;
-  options.threads = 2;
-  options.ring_depth = 4;
-  const StreamEngine engine(plan, options);
-  const auto result = engine.run(pool);
-  obs::set_trace(nullptr);
-  EXPECT_TRUE(result.stats.all_self_routed);
+    obs::set_enabled(true);
+    obs::SpanTrace trace(4096);
+    obs::set_trace(&trace);
+    StreamEngine::Options options;
+    options.threads = threads;
+    options.ring_depth = 4;
+    const StreamEngine engine(plan, options);
+    const auto result = engine.run(pool);
+    obs::set_trace(nullptr);
+    EXPECT_TRUE(result.stats.all_self_routed);
 
-  const auto spans = trace.snapshot();
-  EXPECT_EQ(trace.dropped(), 0u);
+    const auto spans = trace.snapshot();
+    EXPECT_EQ(trace.dropped(), 0u);
 
-  // The run span carries the root trace id every item is parented to.
-  std::uint64_t run_id = 0;
-  for (const auto& span : spans) {
-    if (span.phase == obs::Phase::kStreamRun) run_id = span.trace_id;
-  }
-  ASSERT_NE(run_id, 0u);
-
-  struct PerItem {
-    int solves = 0;
-    int waits = 0;
-    int applies = 0;
-    std::uint32_t solve_tid = 0;
-    std::uint32_t apply_tid = 0;
-  };
-  std::map<std::uint64_t, PerItem> items;
-  for (const auto& span : spans) {
-    if (span.trace_id == 0 || span.trace_id == run_id) continue;
-    EXPECT_EQ(span.parent_id, run_id) << "item spans parent to the run";
-    PerItem& item = items[span.trace_id];
-    switch (span.phase) {
-      case obs::Phase::kSolve:
-        ++item.solves;
-        item.solve_tid = span.thread_id;
-        break;
-      case obs::Phase::kQueueWait:
-        ++item.waits;
-        break;
-      case obs::Phase::kApply:
-        ++item.applies;
-        item.apply_tid = span.thread_id;
-        break;
-      default:
-        break;
+    // The run span carries the root trace id every item is parented to.
+    std::uint64_t run_id = 0;
+    for (const auto& span : spans) {
+      if (span.phase == obs::Phase::kStreamRun) run_id = span.trace_id;
     }
+    ASSERT_NE(run_id, 0u);
+
+    struct PerItem {
+      int solves = 0;
+      int waits = 0;
+      int applies = 0;
+      std::uint32_t solve_tid = 0;
+      std::uint32_t apply_tid = 0;
+    };
+    std::map<std::uint64_t, PerItem> items;
+    for (const auto& span : spans) {
+      if (span.trace_id == 0 || span.trace_id == run_id) continue;
+      EXPECT_EQ(span.parent_id, run_id) << "item spans parent to the run";
+      PerItem& item = items[span.trace_id];
+      switch (span.phase) {
+        case obs::Phase::kSolve:
+          ++item.solves;
+          item.solve_tid = span.thread_id;
+          break;
+        case obs::Phase::kQueueWait:
+          ++item.waits;
+          break;
+        case obs::Phase::kApply:
+          ++item.applies;
+          item.apply_tid = span.thread_id;
+          break;
+        default:
+          break;
+      }
+    }
+    ASSERT_EQ(items.size(), pool.size());
+    for (const auto& [trace_id, item] : items) {
+      EXPECT_EQ(item.solves, 1) << "trace " << trace_id;
+      EXPECT_EQ(item.waits, 1) << "trace " << trace_id;
+      EXPECT_EQ(item.applies, 1) << "trace " << trace_id;
+      EXPECT_NE(item.solve_tid, item.apply_tid)
+          << "solve and apply must land on different threads";
+    }
+    // The queue-wait histogram saw every item.
+    EXPECT_GE(obs::phase_histogram(obs::Phase::kQueueWait).total_count(), pool.size());
   }
-  ASSERT_EQ(items.size(), pool.size());
-  for (const auto& [trace_id, item] : items) {
-    EXPECT_EQ(item.solves, 1) << "trace " << trace_id;
-    EXPECT_EQ(item.waits, 1) << "trace " << trace_id;
-    EXPECT_EQ(item.applies, 1) << "trace " << trace_id;
-    EXPECT_NE(item.solve_tid, item.apply_tid)
-        << "solve and apply must land on the two pipeline threads";
-  }
-  // The queue-wait histogram saw every item.
-  EXPECT_GE(obs::phase_histogram(obs::Phase::kQueueWait).total_count(), pool.size());
 #endif
 }
 
