@@ -159,20 +159,4 @@ inline void chunk_concat(const std::uint64_t* even, const std::uint64_t* odd,
   return static_cast<unsigned>((words[idx >> 6] >> (idx & 63)) & 1U);
 }
 
-/// In-place 64x64 bit-matrix transpose: afterwards bit i of x[j] equals bit
-/// j of the original x[i].  The wide datapath uses this to convert between
-/// line-major values (x[line] = value) and bit-sliced form (x[slice] = one
-/// packed bit of 64 lines) in O(64 log 64) word operations per block.
-inline void transpose_64x64(std::uint64_t x[64]) noexcept {
-  unsigned j = 32;
-  std::uint64_t m = 0x00000000FFFFFFFFULL;
-  for (; j != 0; j >>= 1, m ^= m << j) {
-    for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((x[k] >> j) ^ x[k + j]) & m;
-      x[k] ^= t << j;
-      x[k + j] ^= t;
-    }
-  }
-}
-
 }  // namespace bnb::bitpack

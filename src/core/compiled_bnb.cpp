@@ -152,8 +152,9 @@ void RouteScratch::prepare(const CompiledBnb& plan) {
   work_.assign(plan.work_words(), 0);
   // Wide-datapath buffers are sized unconditionally: they cost q*N/8 bytes
   // (less than one line buffer) and make every same-shape plan scratch-
-  // compatible regardless of which kernel tier it is bound to.
-  const std::size_t q = 2 * static_cast<std::size_t>(m);
+  // compatible regardless of which kernel tier it is bound to.  q = m
+  // address slices plus the poison-parity slice.
+  const std::size_t q = static_cast<std::size_t>(m) + 1;
   slices_.assign(q * words, 0);
   spare_slices_.assign(q * words, 0);
   slice_tmp_.assign(words, 0);
@@ -383,33 +384,33 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
                                                ControlSchedule* capture) const {
   const std::size_t n = inputs();
   const std::size_t W = s.words_;
-  const unsigned q = 2 * m_;  // m address slices, then m input-index slices
-  std::uint64_t* sl = s.slices_.data();
+  std::uint64_t* sl = s.slices_.data();  // m address slices, then the parity slice
   std::uint64_t* sp = s.spare_slices_.data();
   std::uint64_t* tmp = s.slice_tmp_.data();
+  std::uint64_t* state = s.state_.data();
+  std::uint64_t* entry = s.spare_.data();
 
-  // Fill: one 64x64 bit-matrix transpose per block of 64 lines turns the
-  // line-major state words into the q packed slices.  Slice b of the block
-  // transpose is bit b across the 64 lines, so address bit a is row a and
-  // input-index bit a is row 32 + a.  Lines past n stay zero (zero tails).
-  std::uint64_t blk[64];
-  for (std::size_t b = 0; b < W; ++b) {
-    const std::size_t lines = std::min<std::size_t>(64, n - 64 * b);
-    for (std::size_t j = 0; j < lines; ++j) blk[j] = s.state_[64 * b + j];
-    for (std::size_t j = lines; j < 64; ++j) blk[j] = 0;
-    bitpack::transpose_64x64(blk);
-    for (unsigned a = 0; a < m_; ++a) {
-      sl[a * W + b] = blk[a];
-      sl[(m_ + a) * W + b] = blk[32 + a];
-    }
+  // Only the addresses cross the columns.  They are a bijection, so the
+  // address a line delivers names the word that entered with it: keep that
+  // entry word (input index << 32 | address) per address as the inverse
+  // permutation, and slice only the m address bits.  The parity slice
+  // starts clear in both buffers.
+  for (std::size_t j = 0; j < n; ++j) {
+    entry[static_cast<std::uint32_t>(state[j])] = state[j];
   }
+  ks_->pack_slices(state, n, m_, sl);
+  std::fill(sl + m_ * W, sl + (m_ + 1) * W, 0);
+  std::fill(sp + m_ * W, sp + (m_ + 1) * W, 0);
+  // An all-zero parity slice is left in place until a column with dead
+  // crosspoints can set it; from then on it travels with the addresses.
+  unsigned moving = m_;
 
   std::size_t col_idx = 0;
   for (unsigned stage = 0; stage < m_; ++stage) {
     // The slices travel with the lines, so the stage's sorting bit is
     // already packed: seed the arbiter's working copy from its slice.  The
     // copy matters — column_controls advances (and faults may invert) its
-    // bits without touching the payload slices.
+    // bits without touching the address slices.
     const unsigned addr_bit = m_ - 1 - stage;
     std::copy(sl + addr_bit * W, sl + addr_bit * W + W, s.bits_.data());
 
@@ -429,36 +430,31 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
       if (fcol != nullptr && !fcol->dead.empty()) {
         // Poison = every ADDRESS bit flipped (dead_crosspoint_poison):
         // bit-sliced, that is bit `line` of each of the m address slices.
+        // The parity slice flips with them, so the drain can undo the
+        // poison to find the word's entry address.
         visit_dead_crosspoint_hits(*fcol, ctl, [&](std::size_t line) {
           const std::size_t w = line >> 6;
           const std::uint64_t bit = std::uint64_t{1} << (line & 63);
-          for (unsigned a = 0; a < m_; ++a) sl[a * W + w] ^= bit;
+          for (unsigned a = 0; a <= m_; ++a) sl[a * W + w] ^= bit;
         });
+        moving = m_ + 1;
       }
       // The fused column pass — switch exchange under ctl plus the
       // `group`-line unshuffle — applied to every slice with the SAME
-      // control masks: O(q * N/64) masked word ops instead of O(N) moves.
+      // control masks: O(m * N/64) masked word ops instead of O(N) moves.
       const std::size_t chunk = col.group / 2;
-      for (unsigned slice = 0; slice < q; ++slice) {
+      for (unsigned slice = 0; slice < moving; ++slice) {
         ks_->slice_pass(sl + slice * W, n, ctl, chunk, tmp, sp + slice * W);
       }
       std::swap(sl, sp);
     }
   }
 
-  // Reconstruct line-major state words: the same transpose in reverse
-  // (transpose_64x64 is an involution under this orientation).
-  for (std::size_t b = 0; b < W; ++b) {
-    for (std::size_t j = 0; j < 64; ++j) blk[j] = 0;
-    for (unsigned a = 0; a < m_; ++a) {
-      blk[a] = sl[a * W + b];
-      blk[32 + a] = sl[(m_ + a) * W + b];
-    }
-    bitpack::transpose_64x64(blk);
-    const std::size_t lines = std::min<std::size_t>(64, n - 64 * b);
-    for (std::size_t j = 0; j < lines; ++j) s.state_[64 * b + j] = blk[j];
-  }
-  return s.state_.data();
+  // Drain: each line's delivered address, un-poisoned where the parity
+  // says so, looks up the word that entered with it; the state word keeps
+  // the delivered (possibly poisoned) address.
+  ks_->unpack_slices(sl, n, m_, entry, state);
+  return state;
 }
 
 CompiledBnb::Output CompiledBnb::route_impl(RouteScratch& s, ControlTrace* trace,

@@ -18,12 +18,14 @@
 // Every word-parallel pass above is reached through a kernels::KernelSet
 // (core/kernels/kernel_set.hpp): function pointers bound once at plan
 // construction to the best tier the host can execute (scalar, avx2, avx512,
-// neon; BNB_KERNELS overrides).  Tiers with wide_datapath move the payload
-// BIT-SLICED: instead of permuting N 64-bit state words per column, the
-// q = 2m address+index bit-slices are each moved as packed words by the
-// same fused exchange+unshuffle pass that already drives the address bits —
-// O(N * q / 64) masked word operations per column instead of O(N) word
-// moves, and the whole working set shrinks from 8N bytes to qN/8.
+// neon; BNB_KERNELS overrides).  Tiers with wide_datapath move the lines
+// BIT-SLICED: instead of permuting N 64-bit state words per column, only
+// the m address bit-slices are moved as packed words by the same fused
+// exchange+unshuffle pass that already drives the address bits — O(N*m/64)
+// masked word operations per column instead of O(N) word moves.  The
+// addresses are a bijection, so each delivered address names its input
+// through the inverse permutation; one extra parity slice records dead-
+// crosspoint poison so faulty routes keep the same slice layout.
 //
 // Controls/trace capture is opt-in (ControlTrace) and off the fast path:
 // plain route() computes only destinations and delivered words.
@@ -169,12 +171,15 @@ class RouteScratch {
   std::size_t words_ = 0;  ///< bitpack::words_for(n_): packed word width
 
   std::vector<std::uint64_t> state_;   ///< per line: input index << 32 | address
-  std::vector<std::uint64_t> spare_;   ///< double buffer for state_
+  std::vector<std::uint64_t> spare_;   ///< per-line path: double buffer for state_;
+                                       ///< wide path: entry word by address
   std::vector<std::uint64_t> bits_;    ///< packed current address bit per line
   std::vector<std::uint64_t> ctl_;     ///< packed controls of the current column
   std::vector<std::uint64_t> work_;    ///< arbiter up/down levels + temporaries
-  std::vector<std::uint64_t> slices_;  ///< wide datapath: q = 2m bit-slices,
-                                       ///< slice s at [s * words_, ...)
+  std::vector<std::uint64_t> slices_;  ///< wide datapath: q = m + 1 bit-slices
+                                       ///< (m address bits, then the dead-
+                                       ///< crosspoint poison parity), slice s
+                                       ///< at [s * words_, ...)
   std::vector<std::uint64_t> spare_slices_;  ///< double buffer for slices_
   std::vector<std::uint64_t> slice_tmp_;     ///< slice_pass staging scratch
   std::vector<Word> outputs_;

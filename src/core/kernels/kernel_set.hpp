@@ -1,16 +1,18 @@
 // Runtime-dispatched kernel layer for the compiled routing engine.
 //
 // Every hot word-parallel pass of CompiledBnb — the arbiter's compress and
-// interleave passes, the masked switch exchange, the unshuffle wiring, and
-// the fused bit-slice column pass of the wide datapath — is reached through
+// interleave passes, the masked switch exchange, the unshuffle wiring, the
+// fused bit-slice column pass of the wide datapath, and the slice fill and
+// drain around it — is reached through
 // a KernelSet of function pointers.  One set per implementation tier:
 //
 //   scalar   portable 64-bit words (PEXT/PDEP when compiled with BMI2) over
 //            the PER-LINE datapath — bit-identical to the pre-kernel engine
 //            and the reference every other tier is tested against;
 //   wide     the same scalar kernels driving the BIT-SLICED wide datapath
-//            (all q = 2m address+index slices moved as packed words) — the
-//            portable reference for the SIMD tiers' datapath;
+//            (the m address slices plus one poison-parity slice moved as
+//            packed words) — the portable reference for the SIMD tiers'
+//            datapath;
 //   avx2     256-bit kernels (4 words per step), wide datapath;
 //   avx512   512-bit kernels (8 words per step, masked tails), wide datapath;
 //   neon     128-bit kernels on aarch64, wide datapath.
@@ -83,6 +85,20 @@ struct KernelSet {
   void (*slice_pass)(const std::uint64_t* in, std::size_t nbits,
                      const std::uint64_t* ctl, std::size_t chunk_bits,
                      std::uint64_t* tmp, std::uint64_t* out);
+  /// Fill the wide datapath: gather bit a of each of the n line values
+  /// into packed slice a, for a < bits (bits < 32): bit t of
+  /// slices[a * words_for(n) + w] is bit a of values[64w + t].  Lines past
+  /// n pack as zero (the zero-tail invariant).
+  void (*pack_slices)(const std::uint64_t* values, std::size_t n, unsigned bits,
+                      std::uint64_t* slices);
+  /// Leave the wide datapath: the inverse of pack_slices over bits + 1
+  /// slices, re-attaching each line's tag word.  For line t let v be its
+  /// bits-bit value from slices 0..bits-1 and p = 2^bits - 1 when slice
+  /// `bits` (the poison parity) has bit t set, else 0; then
+  ///   values[t] = tag[v ^ p] ^ p.
+  /// `tag` holds 2^bits words; bits past n in the slices are ignored.
+  void (*unpack_slices)(const std::uint64_t* slices, std::size_t n, unsigned bits,
+                        const std::uint64_t* tag, std::uint64_t* values);
   /// Replay a flattened small-N schedule (core/small_schedule.hpp) over 8
   /// INDEPENDENT 64-line states in one instruction stream.  Step s swaps
   /// bits i and i+deltas[s] of every lane for each set bit i of masks[s]

@@ -192,6 +192,38 @@ void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_
   bitpack::chunk_concat(e, o, nbits / 2, chunk_bits, out);
 }
 
+// Slice fill: per 64-line block the low dwords of the values narrow into 8
+// YMM registers of 8 lines each; slice a is then a shift of bit a to each
+// dword's sign bit and a VMOVMSKPS per register.  A partial block
+// (n < 64) takes the scalar transpose.
+void pack_slices_k(const std::uint64_t* values, std::size_t n, unsigned bits,
+                   std::uint64_t* slices) {
+  const std::size_t words = bitpack::words_for(n);
+  const std::size_t full = n / 64;
+  for (std::size_t b = 0; b < full; ++b) {
+    __m256i v[8];
+    for (unsigned c = 0; c < 8; ++c) {
+      const auto* p = reinterpret_cast<const __m256i*>(values + 64 * b + 8 * c);
+      const __m256 lo = _mm256_castsi256_ps(_mm256_loadu_si256(p));
+      const __m256 hi = _mm256_castsi256_ps(_mm256_loadu_si256(p + 1));
+      // Low dwords of lines 0,1,4,5 | 2,3,6,7, then restore line order.
+      const __m256 low_dwords = _mm256_shuffle_ps(lo, hi, 0x88);
+      v[c] = _mm256_permute4x64_epi64(_mm256_castps_si256(low_dwords), 0xD8);
+    }
+    for (unsigned a = 0; a < bits; ++a) {
+      const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(31 - a));
+      std::uint64_t word = 0;
+      for (unsigned c = 0; c < 8; ++c) {
+        const int signs =
+            _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_sll_epi32(v[c], shift)));
+        word |= static_cast<std::uint64_t>(static_cast<unsigned>(signs)) << (8 * c);
+      }
+      slices[a * words + b] = word;
+    }
+  }
+  detail::pack_slices_scalar(values, n, bits, slices, full);
+}
+
 // Small-schedule replay: the 8 independent 64-line states split across two
 // YMM registers; each (mask, delta) butterfly step runs both halves before
 // the next mask load.  Deltas vary per step, so the shifts take their count
@@ -227,6 +259,8 @@ const KernelSet kAvx2Set{"avx2",
                          &masked_exchange_k,
                          &xor_words_k,
                          &slice_pass_k,
+                         &pack_slices_k,
+                         kScalarSet.unpack_slices,
                          &small_apply8_k};
 }  // namespace detail
 

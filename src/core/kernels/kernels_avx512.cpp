@@ -223,6 +223,56 @@ void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_
   bitpack::chunk_concat(e, o, nbits / 2, chunk_bits, out);
 }
 
+// Slice fill: per 64-line block the values sit in 8 ZMM registers, and
+// slice a is one VPTESTMQ against bit a per register — 8 mask bytes that
+// concatenate into the slice word.  A partial block (n < 64) takes the
+// scalar transpose.
+void pack_slices_k(const std::uint64_t* values, std::size_t n, unsigned bits,
+                   std::uint64_t* slices) {
+  const std::size_t words = bitpack::words_for(n);
+  const std::size_t full = n / 64;
+  for (std::size_t b = 0; b < full; ++b) {
+    __m512i v[8];
+    for (unsigned c = 0; c < 8; ++c) v[c] = _mm512_loadu_si512(values + 64 * b + 8 * c);
+    for (unsigned a = 0; a < bits; ++a) {
+      const __m512i bit = bcast(std::uint64_t{1} << a);
+      std::uint64_t word = 0;
+      for (unsigned c = 0; c < 8; ++c) {
+        const __mmask8 set = _mm512_test_epi64_mask(v[c], bit);
+        word |= std::uint64_t{_cvtmask8_u32(set)} << (8 * c);
+      }
+      slices[a * words + b] = word;
+    }
+  }
+  detail::pack_slices_scalar(values, n, bits, slices, full);
+}
+
+// Slice drain: 8 lines per step rebuild their value with one masked OR per
+// slice (the slice byte is the lane mask), flip the poisoned lanes back to
+// their entry address, gather the tags and flip again.
+void unpack_slices_k(const std::uint64_t* slices, std::size_t n, unsigned bits,
+                     const std::uint64_t* tag, std::uint64_t* values) {
+  const std::size_t words = bitpack::words_for(n);
+  const std::size_t full = n / 64;
+  const __m512i low = bcast((std::uint64_t{1} << bits) - 1);
+  for (std::size_t b = 0; b < full; ++b) {
+    for (unsigned c = 0; c < 8; ++c) {
+      __m512i v = _mm512_setzero_si512();
+      for (unsigned a = 0; a < bits; ++a) {
+        const auto k = static_cast<__mmask8>(slices[a * words + b] >> (8 * c));
+        v = _mm512_mask_or_epi64(v, k, v, bcast(std::uint64_t{1} << a));
+      }
+      const auto poisoned = static_cast<__mmask8>(slices[bits * words + b] >> (8 * c));
+      const __m512i entry = _mm512_mask_xor_epi64(v, poisoned, v, low);
+      const __m512i word =
+          _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, entry, tag, 8);
+      _mm512_storeu_si512(values + 64 * b + 8 * c,
+                          _mm512_mask_xor_epi64(word, poisoned, word, low));
+    }
+  }
+  detail::unpack_slices_scalar(slices, n, bits, tag, values, full);
+}
+
 // Small-schedule replay: one ZMM register holds all 8 independent 64-line
 // states, so every (mask, delta) butterfly step is 4 instructions for the
 // whole batch — VPSRLQ, VPTERNLOGQ for (x ^ (x >> d)) & m, VPSLLQ, VPXORQ.
@@ -254,6 +304,8 @@ const KernelSet kAvx512Set{"avx512",
                            &masked_exchange_k,
                            &xor_words_k,
                            &slice_pass_k,
+                           &pack_slices_k,
+                           &unpack_slices_k,
                            &small_apply8_k};
 }  // namespace detail
 

@@ -58,6 +58,8 @@ const KernelSet kNeonSet{"neon",
                          &masked_exchange_k,
                          &xor_words_k,
                          kWideSet.slice_pass,
+                         kWideSet.pack_slices,
+                         kWideSet.unpack_slices,
                          // 128-bit lanes gain nothing over the unrolled
                          // scalar step loop for the small-schedule replay.
                          kScalarSet.small_apply8};

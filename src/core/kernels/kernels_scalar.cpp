@@ -65,6 +65,18 @@ void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_
   detail::slice_pass_runs_scalar(in, 0, nbits / 128, ctl, chunk_bits / 64, out);
 }
 
+// Slice fill and drain: a 64x64 bit transpose per 64-line block, pruned to
+// the rows the datapath carries (scalar_core.hpp).
+void pack_slices_k(const std::uint64_t* values, std::size_t n, unsigned bits,
+                   std::uint64_t* slices) {
+  detail::pack_slices_scalar(values, n, bits, slices, 0);
+}
+
+void unpack_slices_k(const std::uint64_t* slices, std::size_t n, unsigned bits,
+                     const std::uint64_t* tag, std::uint64_t* values) {
+  detail::unpack_slices_scalar(slices, n, bits, tag, values, 0);
+}
+
 // Small-schedule replay over 8 independent lanes: step-outer order loads
 // each (mask, delta) once and streams it across the lanes, which the
 // compiler unrolls into straight register code (the per-lane body is the
@@ -93,6 +105,8 @@ constexpr KernelSet make_set(const char* name, Tier tier, bool wide) {
                    &masked_exchange_k,
                    &xor_words_k,
                    &slice_pass_k,
+                   &pack_slices_k,
+                   &unpack_slices_k,
                    &small_apply8_k};
 }
 

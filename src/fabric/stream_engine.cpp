@@ -11,12 +11,31 @@
 #include <thread>
 #include <utility>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/expect.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
 
 namespace bnb {
 namespace {
+
+/// CPUs this thread may run on: the sched_getaffinity mask on Linux (a
+/// taskset or cgroup cpuset narrower than the host), else every online
+/// hardware thread.  Never 0.
+[[nodiscard]] unsigned usable_cpus() noexcept {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<unsigned>(count);
+  }
+#endif
+  return std::max(std::thread::hardware_concurrency(), 1U);
+}
 
 [[nodiscard]] std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -253,8 +272,9 @@ StreamEngine::StreamEngine(const CompiledBnb& plan, Options options)
       apply_hook_(std::move(options.apply_hook)) {
   BNB_EXPECTS(options.threads <= 256);
   if (threads_ == 0) {
-    // Auto: one thread per hardware thread (inline on a 1-core host).
-    threads_ = std::clamp(std::thread::hardware_concurrency(), 1U, 256U);
+    // Auto: one thread per CPU the caller may run on (inline on a 1-CPU
+    // mask), so a narrowed affinity mask never oversubscribes.
+    threads_ = std::clamp(usable_cpus(), 1U, 256U);
   }
   obs::MetricsRegistry& reg =
       options.registry != nullptr ? *options.registry : obs::MetricsRegistry::global();

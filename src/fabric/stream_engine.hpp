@@ -17,8 +17,9 @@
 //     ring with one solver.
 //   * threads = 1 (or a 1-core host with threads = 0 auto): graceful
 //     degeneration to an in-order solve+apply loop on the calling thread —
-//     same results, no ring, no spawn.  threads = 0 resolves to
-//     std::thread::hardware_concurrency().
+//     same results, no ring, no spawn.  threads = 0 resolves to the
+//     CPUs in the calling thread's affinity mask on Linux
+//     (sched_getaffinity), std::thread::hardware_concurrency() elsewhere.
 //   * Options::cache: an optional ScheduleCache consulted before solving;
 //     hits skip the solve stage entirely (repeated traffic streams at
 //     apply-only speed) and misses populate the cache.
@@ -139,7 +140,8 @@ enum class StreamItemStatus : std::uint8_t {
 class StreamEngine {
  public:
   struct Options {
-    /// 0 = auto (std::thread::hardware_concurrency()); 1 = in-order inline
+    /// 0 = auto (the calling thread's affinity-mask CPU count on Linux,
+    /// std::thread::hardware_concurrency() elsewhere); 1 = in-order inline
     /// loop; T >= 2 = min(T - 1, items) spawned solver workers plus the
     /// calling-thread applier.
     unsigned threads = 0;

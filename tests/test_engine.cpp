@@ -18,6 +18,8 @@
 #include "core/schedule_cache.hpp"
 #include "core/splitter.hpp"
 #include "fabric/staged_router.hpp"
+#include "fault/fault_model.hpp"
+#include "fault/injection.hpp"
 #include "obs/span.hpp"
 #include "perm/generators.hpp"
 
@@ -540,6 +542,144 @@ TEST(CompiledBnb, SteadyStateSolveApplyAndCacheHitsAllocateNothing) {
   EXPECT_EQ(testhook::allocation_count(), 0U)
       << "steady-state solve/apply and cache hits must not touch the heap";
   EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(perms.size()));
+}
+
+// ---- address-only wide datapath ----------------------------------------
+
+/// solve() on every tier must compose to exactly the permutation it was
+/// given: the delivered address of each line names its input through the
+/// inverse permutation, so line_of_input is pi's image.
+void expect_line_of_input_is_image(unsigned m, const Permutation& pi) {
+  for (const kernels::KernelSet* set : kernels::supported_kernel_sets()) {
+    const CompiledBnb plan(m, set);
+    RouteScratch scratch;
+    ControlSchedule schedule;
+    plan.solve(pi, scratch, schedule);
+    ASSERT_TRUE(schedule.solved());
+    const auto line_of = schedule.line_of_input();
+    const auto image = pi.image();
+    ASSERT_TRUE(std::equal(line_of.begin(), line_of.end(), image.begin(), image.end()))
+        << set->name << " m=" << m << " " << (m <= 3 ? pi.to_string() : "");
+  }
+}
+
+TEST(CompiledBnb, SolveLineOfInputIsThePermutationOnEveryTier) {
+  for (unsigned m = 1; m <= 3; ++m) {
+    Permutation pi = identity_perm(std::size_t{1} << m);
+    do {
+      expect_line_of_input_is_image(m, pi);
+    } while (pi.next_lexicographic());
+  }
+  Rng rng(0x1D1A);
+  for (unsigned m = 4; m <= 14; ++m) {
+    const std::size_t n = std::size_t{1} << m;
+    expect_line_of_input_is_image(m, random_perm(n, rng));
+    expect_line_of_input_is_image(m, random_bpc_perm(n, rng));
+    expect_line_of_input_is_image(m, bit_reversal_perm(n));
+  }
+}
+
+/// A model whose `columns` (flat indices) have every crosspoint of every
+/// switch dead: each word crossing such a column is poisoned exactly once
+/// there, whatever the switch settings, so a word crossing k of them is
+/// hit k times.
+FaultModel all_dead_columns(unsigned m, std::initializer_list<std::size_t> columns) {
+  FaultModel model(m);
+  const CompiledBnb plan(m);
+  for (const std::size_t c : columns) {
+    const CompiledBnb::Column& col = plan.columns()[c];
+    const std::uint32_t splitters = std::uint32_t{1} << (m - col.p);
+    const std::uint32_t switches = std::uint32_t{1} << (col.p - 1);
+    for (std::uint32_t sp = 0; sp < splitters; ++sp) {
+      for (std::uint32_t e = 0; e < switches; ++e) {
+        for (std::uint8_t in = 0; in < 2; ++in) {
+          for (std::uint8_t out = 0; out < 2; ++out) {
+            FaultSpec spec;
+            spec.kind = FaultKind::kDeadCrosspoint;
+            spec.at = FaultAddress{col.main_stage, col.nested_stage, sp, e};
+            spec.in_port = in;
+            spec.out_port = out;
+            model.add(spec);
+          }
+        }
+      }
+    }
+  }
+  return model;
+}
+
+/// Route `pi` under `model` through the behavioral network and through
+/// every tier: outputs, dest and self_routed must be bit-identical.
+void expect_faulty_routes_agree(const FaultModel& model, const Permutation& pi) {
+  const unsigned m = model.m();
+  const auto ref = BnbNetwork(m).route_with_faults(pi, compile_network_faults(model));
+  const EngineFaults overlay = compile_engine_faults(model);
+  for (const kernels::KernelSet* set : kernels::supported_kernel_sets()) {
+    const CompiledBnb plan(m, set);
+    RouteScratch scratch;
+    const auto got = plan.route(pi, scratch, nullptr, &overlay);
+    ASSERT_EQ(got.self_routed, ref.self_routed) << set->name << " m=" << m;
+    for (std::size_t line = 0; line < plan.inputs(); ++line) {
+      ASSERT_EQ(got.outputs[line], ref.outputs[line]) << set->name << " line " << line;
+      ASSERT_EQ(got.dest[line], ref.dest[line]) << set->name << " input " << line;
+    }
+  }
+}
+
+TEST(CompiledBnb, DeadCrosspointParityMatchesScalarAndBehavioral) {
+  // Every word is poisoned once (odd: addresses delivered flipped), twice
+  // (even: the flips cancel but later stages sorted on poisoned bits), and
+  // three times; the wide datapath's parity slice must recover each
+  // word's input exactly as the per-line tier and the behavioral model do.
+  Rng rng(0xDEAD5);
+  for (const unsigned m : {3U, 5U, 8U}) {
+    const std::size_t n = std::size_t{1} << m;
+    const std::size_t last = static_cast<std::size_t>(m) * (m + 1) / 2 - 1;
+    for (const FaultModel& model :
+         {all_dead_columns(m, {0}), all_dead_columns(m, {0, last}),
+          all_dead_columns(m, {1, 2}), all_dead_columns(m, {0, m, last})}) {
+      for (int r = 0; r < 3; ++r) expect_faulty_routes_agree(model, random_perm(n, rng));
+      expect_faulty_routes_agree(model, bit_reversal_perm(n));
+    }
+    // Sparse dead crosspoints: per-word hit counts vary between 0 and many.
+    FaultModel sparse(m);
+    for (int f = 0; f < 40; ++f) {
+      FaultSpec spec = FaultModel::random_campaign(m, 1, rng).front();
+      spec.kind = FaultKind::kDeadCrosspoint;
+      const unsigned p = sparse.splitter_order(spec.at.main_stage, spec.at.nested_column);
+      spec.at.element %= std::uint32_t{1} << (p - 1);
+      spec.in_port = static_cast<std::uint8_t>(rng() & 1U);
+      spec.out_port = static_cast<std::uint8_t>(rng() & 1U);
+      sparse.add(spec);
+    }
+    for (int r = 0; r < 4; ++r) expect_faulty_routes_agree(sparse, random_perm(n, rng));
+  }
+}
+
+TEST(CompiledBnb, SteadyStateWideDatapathAllocatesNothingOnEveryTier) {
+  // The slice fill, the inverse-permutation buffer and the parity slice all
+  // live in the prepared scratch: clean solves, clean routes and routes
+  // under a dead-crosspoint overlay touch no heap on any tier.
+  const unsigned m = 8;
+  const EngineFaults overlay = compile_engine_faults(all_dead_columns(m, {0}));
+  Rng rng(0xA110C);
+  std::vector<Permutation> perms;
+  for (int i = 0; i < 4; ++i) perms.push_back(random_perm(std::size_t{1} << m, rng));
+  for (const kernels::KernelSet* set : kernels::supported_kernel_sets()) {
+    const CompiledBnb plan(m, set);
+    RouteScratch scratch;
+    ControlSchedule schedule;
+    plan.solve(perms[0], scratch, schedule);
+    (void)plan.route(perms[0], scratch, nullptr, &overlay);
+
+    testhook::reset_allocation_count();
+    for (const auto& pi : perms) {
+      plan.solve(pi, scratch, schedule);
+      ASSERT_TRUE(plan.route(pi, scratch).self_routed);
+      ASSERT_FALSE(plan.route(pi, scratch, nullptr, &overlay).self_routed);
+    }
+    EXPECT_EQ(testhook::allocation_count(), 0U) << set->name;
+  }
 }
 
 TEST(CompiledBnb, SteadyStateSmallLaneAllocatesNothing) {

@@ -1,7 +1,8 @@
 // Kernel-equivalence suite: every kernel tier this build can run on this
 // host must be BIT-IDENTICAL to the scalar reference — on the raw packed
 // primitives over randomized zero-tail arrays (1..4096 bits), on the fused
-// slice_pass against its three-pass composition, and on full routes
+// slice_pass against its three-pass composition, on the slice fill and
+// drain (pack/unpack_slices, 1..2^14 lines), and on full routes
 // (exhaustive for m <= 3, randomized up to m = 12), including with a
 // non-empty EngineFaults overlay and with ControlTrace capture.  A SIMD
 // lane bug that survives this file does not exist.
@@ -206,21 +207,95 @@ TEST(Kernels, SlicePassMatchesItsThreePassComposition) {
   }
 }
 
-TEST(Kernels, Transpose64x64MatchesBitDefinitionAndIsAnInvolution) {
+TEST(Kernels, PackUnpackSlicesMatchBitDefinitionAndRoundTrip) {
+  // The slice fill and drain of the wide datapath.  The scalar reference
+  // (a 64x64 bit transpose pruned to the carried rows) is checked against
+  // the bit definition; every tier against the scalar reference.  Sizes
+  // cover the partial block (n < 64) and whole blocks up to 2^14 lines.
   Rng rng(0xC0DE04);
-  std::uint64_t x[64];
-  std::uint64_t orig[64];
-  for (auto& w : x) w = rng();
-  std::copy(std::begin(x), std::end(x), std::begin(orig));
-  bitpack::transpose_64x64(x);
-  for (unsigned i = 0; i < 64; ++i) {
-    for (unsigned j = 0; j < 64; ++j) {
-      ASSERT_EQ((x[j] >> i) & 1U, (orig[i] >> j) & 1U)
-          << "bit (" << i << "," << j << ")";
+  const auto& ref = kernels::scalar_kernels();
+  auto bit_of = [](const std::vector<std::uint64_t>& v, std::size_t i) {
+    return (v[i >> 6] >> (i & 63)) & 1U;
+  };
+
+  // pack_slices: any n, any bits < 32, high value bits ignored, zero tail.
+  for (const std::size_t n : {1UL, 2UL, 3UL, 31UL, 32UL, 63UL, 64UL, 65UL, 100UL, 128UL,
+                              1000UL, 4096UL, 16384UL}) {
+    for (const unsigned bits : {1U, 5U, 10U, 14U, 25U, 31U}) {
+      const std::size_t words = bitpack::words_for(n);
+      std::vector<std::uint64_t> values(n);
+      for (auto& v : values) v = rng();
+      // Garbage-filled outputs: every slice word must be written.
+      std::vector<std::uint64_t> expect(bits * words, ~std::uint64_t{0});
+      ref.pack_slices(values.data(), n, bits, expect.data());
+      for (unsigned a = 0; a < bits; ++a) {
+        const std::vector<std::uint64_t> slice(expect.begin() + a * words,
+                                               expect.begin() + (a + 1) * words);
+        for (std::size_t t = 0; t < 64 * words; ++t) {
+          const std::uint64_t want = t < n ? (values[t] >> a) & 1U : 0;
+          ASSERT_EQ(bit_of(slice, t), want)
+              << "scalar pack n=" << n << " bits=" << bits << " slice " << a
+              << " line " << t;
+        }
+      }
+      for (const KernelSet* set : kernels::supported_kernel_sets()) {
+        std::vector<std::uint64_t> got(bits * words, ~std::uint64_t{0});
+        set->pack_slices(values.data(), n, bits, got.data());
+        ASSERT_EQ(got, expect) << set->name << " pack_slices n=" << n << " bits=" << bits;
+      }
     }
   }
-  bitpack::transpose_64x64(x);
-  EXPECT_TRUE(std::equal(std::begin(x), std::end(x), std::begin(orig)));
+
+  // unpack_slices: n = 2^bits lines, random address slices plus a random
+  // parity slice; tail bits past n are garbage the drain must ignore.
+  for (unsigned bits = 1; bits <= 14; ++bits) {
+    const std::size_t n = std::size_t{1} << bits;
+    const std::size_t words = bitpack::words_for(n);
+    const std::uint64_t low = n - 1;
+    std::vector<std::uint64_t> slices((bits + 1) * words);
+    for (auto& w : slices) w = rng();
+    std::vector<std::uint64_t> tag(n);
+    for (auto& t : tag) t = rng();
+    std::vector<std::uint64_t> expect(n + 1, 0xABCDU);
+    ref.unpack_slices(slices.data(), n, bits, tag.data(), expect.data());
+    ASSERT_EQ(expect[n], 0xABCDU) << "scalar unpack wrote past n";
+    for (std::size_t t = 0; t < n; ++t) {
+      std::uint64_t v = 0;
+      for (unsigned a = 0; a < bits; ++a) {
+        const std::vector<std::uint64_t> slice(slices.begin() + a * words,
+                                               slices.begin() + (a + 1) * words);
+        v |= std::uint64_t{bit_of(slice, t)} << a;
+      }
+      const std::vector<std::uint64_t> parity(slices.begin() + bits * words,
+                                              slices.end());
+      const std::uint64_t p = bit_of(parity, t) != 0 ? low : 0;
+      ASSERT_EQ(expect[t], tag[v ^ p] ^ p)
+          << "scalar unpack bits=" << bits << " line " << t;
+    }
+    for (const KernelSet* set : kernels::supported_kernel_sets()) {
+      std::vector<std::uint64_t> got(n + 1, 0xABCDU);
+      set->unpack_slices(slices.data(), n, bits, tag.data(), got.data());
+      ASSERT_EQ(got, expect) << set->name << " unpack_slices bits=" << bits;
+    }
+
+    // Round trip as the engine uses it: line values are entry words whose
+    // low bits form a permutation, the tag maps each address back to its
+    // entry word, and a clear parity slice leaves every value unchanged.
+    const Permutation pi = random_perm(n, rng);
+    std::vector<std::uint64_t> values(n);
+    std::vector<std::uint64_t> entry(n);
+    for (std::size_t t = 0; t < n; ++t) {
+      values[t] = (rng() << 32) | pi(t);
+      entry[pi(t)] = values[t];
+    }
+    for (const KernelSet* set : kernels::supported_kernel_sets()) {
+      std::vector<std::uint64_t> packed((bits + 1) * words, 0);
+      set->pack_slices(values.data(), n, bits, packed.data());
+      std::vector<std::uint64_t> back(n, 0);
+      set->unpack_slices(packed.data(), n, bits, entry.data(), back.data());
+      ASSERT_EQ(back, values) << set->name << " pack/unpack round trip bits=" << bits;
+    }
+  }
 }
 
 // ---- full-route equivalence -------------------------------------------
@@ -279,7 +354,8 @@ TEST(Kernels, FullRoutesMatchScalarRandomizedUpToM12) {
 
 TEST(Kernels, RouteWordsPayloadsSurviveEveryTier) {
   // The wide datapath never moves payloads through the network — it carries
-  // input-index slices and re-attaches payloads at delivery.  Arbitrary
+  // only address slices and re-attaches payloads at delivery through the
+  // inverse permutation.  Arbitrary
   // 64-bit payloads must come through bit-identically anyway.
   Rng rng(0xC0DE06);
   const unsigned m = 7;

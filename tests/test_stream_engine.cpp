@@ -21,6 +21,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/rng.hpp"
 #include "core/compiled_bnb.hpp"
 #include "core/schedule_cache.hpp"
@@ -125,12 +129,42 @@ TEST(StreamEngine, ThreadPolicyAndStatsAreReported) {
         << "threads=" << threads;
   }
 
-  // Auto (threads = 0) resolves to one thread per hardware thread.
+  // Auto (threads = 0) resolves to one thread per usable CPU.
   StreamEngine auto_engine(plan);
   EXPECT_GE(auto_engine.threads(), 1U);
   EXPECT_LE(auto_engine.threads(), std::max(std::thread::hardware_concurrency(), 1U));
   EXPECT_EQ(auto_engine.run(pool).stats.permutations, pool.size());
 }
+
+#if defined(__linux__)
+TEST(StreamEngine, AutoThreadsFollowTheAffinityMask) {
+  // Narrow the calling thread to one CPU it may already use: the auto
+  // engine must then run inline instead of sizing itself to the host.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  const CompiledBnb plan(4);
+  const auto pool = random_pool(4, 8, 0xAFF1);
+  const StreamEngine narrowed(plan);
+  const unsigned narrowed_threads = narrowed.threads();
+  const auto result = narrowed.run(pool);
+
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(narrowed_threads, 1U);
+  EXPECT_FALSE(result.stats.pipelined);
+  EXPECT_EQ(result.stats.permutations, pool.size());
+  EXPECT_EQ(StreamEngine(plan).threads(),
+            std::clamp(static_cast<unsigned>(CPU_COUNT(&saved)), 1U, 256U));
+}
+#endif
 
 TEST(StreamEngine, RingHighWaterStaysWithinTheRingDepth) {
   // ring_high_water counts items published and not yet retired, so it is
