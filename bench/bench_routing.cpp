@@ -2,8 +2,14 @@
 // repository (google-benchmark).  Not a paper table — the paper's model is
 // gate delay — but a sanity check that the behavioral simulators scale as
 // their asymptotics promise, and a practical comparison for users of the
-// library as a software permutation router.
+// library as a software permutation router.  The DeliveryAudit and
+// ResilientRouter rows time the layers of a warm cache hit: the audit on a
+// clean delivery (the clean-delivery proof alone), on a delivery with one
+// bad line (proof plus the exact classifier), and the whole audited hit.
 #include <benchmark/benchmark.h>
+
+#include <utility>
+#include <vector>
 
 #include "baselines/batcher.hpp"
 #include "baselines/benes.hpp"
@@ -12,6 +18,9 @@
 #include "common/rng.hpp"
 #include "core/bnb_network.hpp"
 #include "core/compiled_bnb.hpp"
+#include "core/schedule_cache.hpp"
+#include "fault/delivery_audit.hpp"
+#include "fault/resilience.hpp"
 #include "perm/generators.hpp"
 
 namespace {
@@ -47,6 +56,75 @@ void BM_CompiledBnbRoute(benchmark::State& state) {
                           static_cast<std::int64_t>(engine.inputs()));
 }
 BENCHMARK(BM_CompiledBnbRoute)->DenseRange(4, 14, 2);
+
+void BM_CompiledBnbApply(benchmark::State& state) {
+  // Replay of a solved schedule: the floor a warm cache hit is measured
+  // against.
+  const unsigned m = static_cast<unsigned>(state.range(0));
+  const bnb::CompiledBnb engine(m);
+  const auto pi = test_perm(engine.inputs());
+  bnb::RouteScratch scratch;
+  bnb::ControlSchedule schedule;
+  engine.solve(pi, scratch, schedule);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.apply(schedule, pi, scratch));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(engine.inputs()));
+}
+BENCHMARK(BM_CompiledBnbApply)->DenseRange(4, 14, 2);
+
+/// A clean delivery of pi: line pi(j) holds {address pi(j), payload j}.
+std::vector<bnb::Word> clean_delivery(const bnb::Permutation& pi) {
+  std::vector<bnb::Word> out(pi.size());
+  for (std::size_t j = 0; j < pi.size(); ++j) {
+    out[pi(j)] = bnb::Word{pi(j), std::uint64_t{j}};
+  }
+  return out;
+}
+
+void BM_DeliveryAuditClean(benchmark::State& state) {
+  const unsigned m = static_cast<unsigned>(state.range(0));
+  const bnb::DeliveryAudit audit(m);
+  const auto pi = test_perm(audit.inputs());
+  const auto out = clean_delivery(pi);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(audit.audit(pi, out));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(audit.inputs()));
+}
+BENCHMARK(BM_DeliveryAuditClean)->DenseRange(4, 14, 2);
+
+void BM_DeliveryAuditOneBadLine(benchmark::State& state) {
+  // Two words swapped: the proof fails and the classifier reports both.
+  const unsigned m = static_cast<unsigned>(state.range(0));
+  const bnb::DeliveryAudit audit(m);
+  const auto pi = test_perm(audit.inputs());
+  auto out = clean_delivery(pi);
+  std::swap(out[0], out[audit.inputs() / 2]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(audit.audit(pi, out));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(audit.inputs()));
+}
+BENCHMARK(BM_DeliveryAuditOneBadLine)->DenseRange(4, 14, 2);
+
+void BM_ResilientRouterWarmHit(benchmark::State& state) {
+  // The serving path's common case: digest, cache replay, audit, dest copy.
+  const unsigned m = static_cast<unsigned>(state.range(0));
+  bnb::ScheduleCache cache(16);
+  bnb::ResilientRouter router(m, {}, &cache);
+  const auto pi = test_perm(router.inputs());
+  (void)router.route(pi);  // the miss that fills the cache
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.route(pi));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(router.inputs()));
+}
+BENCHMARK(BM_ResilientRouterWarmHit)->DenseRange(4, 14, 2);
 
 void BM_CompiledBnbBatch(benchmark::State& state) {
   // 64-permutation batches through the worker pool; range(1) = threads.

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cstddef>
+#include <cstring>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -16,6 +19,10 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace bnb {
 
@@ -97,6 +104,46 @@ struct BenesRouter {
     route(base + half, half, level + 1);
   }
 };
+
+/// Write {address, payload} into one Word with a single 16-byte store (the
+/// 4 padding bytes after the address are written as zero).
+inline void store_word(Word* dst, std::uint32_t address, std::uint64_t payload) noexcept {
+  static_assert(sizeof(Word) == 16 && offsetof(Word, payload) == 8 &&
+                    std::endian::native == std::endian::little,
+                "Word is {uint32 address, 4 padding bytes, uint64 payload}");
+#if defined(__SSE2__)
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                   _mm_set_epi64x(static_cast<long long>(payload), address));
+#else
+  const std::uint64_t raw[2] = {address, payload};
+  std::memcpy(static_cast<void*>(dst), raw, sizeof raw);
+#endif
+}
+
+/// The one replay loop behind apply, apply_small and apply_packed_lines:
+/// input j's word {address pi(j), payload j} lands on the line the schedule
+/// composes to.  `line_pair(j)` returns the lines of inputs j and j + 1 in
+/// the low and high dword; each line is masked into [0, n), which keeps a
+/// torn seqlock read memory-safe (its output is discarded by the caller).
+/// N = 2^m is even, so the pairs cover every input without a tail test.
+/// Returns self_routed: no address differs from its line.
+template <class LinePair>
+bool deliver_pairs(std::size_t n, const std::uint32_t* address_of, LinePair line_pair,
+                   std::uint32_t* dest, Word* outputs) noexcept {
+  const std::uint64_t mask = (n - 1) * 0x0000000100000001ULL;  // both lanes
+  std::uint64_t mismatch = 0;
+  for (std::size_t j = 0; j < n; j += 2) {
+    const std::uint64_t lines = line_pair(j) & mask;
+    std::uint64_t addresses;
+    std::memcpy(&addresses, address_of + j, sizeof addresses);
+    std::memcpy(dest + j, &lines, sizeof lines);
+    store_word(outputs + static_cast<std::uint32_t>(lines),
+               static_cast<std::uint32_t>(addresses), j);
+    store_word(outputs + (lines >> 32), static_cast<std::uint32_t>(addresses >> 32), j + 1);
+    mismatch |= addresses ^ lines;
+  }
+  return mismatch == 0;
+}
 
 }  // namespace
 
@@ -555,16 +602,15 @@ CompiledBnb::Output CompiledBnb::apply(const ControlSchedule& schedule,
   // the solved switch settings compose to.  Addresses travel with their
   // words, so the delivered address on that line is pi(j) — exactly the
   // value the fused datapath would have moved there bit for bit.
-  bool self_routed = true;
   const std::uint32_t* line_of = schedule.line_of_input_.data();
-  const std::uint32_t* address_of = pi.image().data();
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t line = line_of[j];
-    const std::uint32_t address = address_of[j];
-    scratch.dest_[j] = line;
-    scratch.outputs_[line] = Word{address, std::uint64_t{j}};
-    self_routed &= (address == line);
-  }
+  const bool self_routed = deliver_pairs(
+      n, pi.image().data(),
+      [line_of](std::size_t j) {
+        std::uint64_t lines;
+        std::memcpy(&lines, line_of + j, sizeof lines);
+        return lines;
+      },
+      scratch.dest_.data(), scratch.outputs_.data());
   return Output{{scratch.outputs_.data(), n}, {scratch.dest_.data(), n}, self_routed};
 }
 
@@ -601,28 +647,13 @@ CompiledBnb::Output CompiledBnb::apply_packed_lines(
   BNB_EXPECTS(packed != nullptr);
   BNB_EXPECTS(pi.size() == n);
   scratch.prepare(*this);
-  // Same replay loop as apply(), reading the line map two lanes per packed
-  // word.  Every line is masked into [0, n): the caller's seqlock check
-  // discards the output of a torn read, the mask only has to keep the torn
-  // read memory-safe.
-  bool self_routed = true;
-  const std::uint32_t line_mask = static_cast<std::uint32_t>(n - 1);
-  const std::uint32_t* address_of = pi.image().data();
-  for (std::size_t j = 0; j < n; j += 2) {
-    const std::uint64_t word = packed[j >> 1].load(std::memory_order_relaxed);
-    const std::uint32_t line0 = static_cast<std::uint32_t>(word) & line_mask;
-    const std::uint32_t a0 = address_of[j];
-    scratch.dest_[j] = line0;
-    scratch.outputs_[line0] = Word{a0, std::uint64_t{j}};
-    self_routed &= (a0 == line0);
-    if (j + 1 < n) {
-      const std::uint32_t line1 = static_cast<std::uint32_t>(word >> 32) & line_mask;
-      const std::uint32_t a1 = address_of[j + 1];
-      scratch.dest_[j + 1] = line1;
-      scratch.outputs_[line1] = Word{a1, std::uint64_t{j + 1}};
-      self_routed &= (a1 == line1);
-    }
-  }
+  // Same replay loop as apply(), reading the line map one packed word (two
+  // lanes) per relaxed atomic load; the caller's seqlock check discards
+  // the output of a torn read.
+  const bool self_routed = deliver_pairs(
+      n, pi.image().data(),
+      [packed](std::size_t j) { return packed[j >> 1].load(std::memory_order_relaxed); },
+      scratch.dest_.data(), scratch.outputs_.data());
   return Output{{scratch.outputs_.data(), n}, {scratch.dest_.data(), n}, self_routed};
 }
 
@@ -682,15 +713,13 @@ CompiledBnb::Output CompiledBnb::apply_small(const SmallSchedule& schedule,
   scratch.prepare(*this);
   // Same delivery contract as apply(): input j's word (address pi(j),
   // payload j) appears on the line the flattened steps compose to.
-  bool self_routed = true;
-  const std::uint32_t* address_of = pi.image().data();
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t line = schedule.line_of_input(j);
-    const std::uint32_t address = address_of[j];
-    scratch.dest_[j] = line;
-    scratch.outputs_[line] = Word{address, std::uint64_t{j}};
-    self_routed &= (address == line);
-  }
+  const bool self_routed = deliver_pairs(
+      n, pi.image().data(),
+      [&schedule](std::size_t j) {
+        return std::uint64_t{schedule.line_of_input(j)} |
+               (std::uint64_t{schedule.line_of_input(j + 1)} << 32);
+      },
+      scratch.dest_.data(), scratch.outputs_.data());
   small_routes_->inc();
   return Output{{scratch.outputs_.data(), n}, {scratch.dest_.data(), n}, self_routed};
 }

@@ -337,7 +337,7 @@ class CompiledBnb {
   /// the output on a torn read, so every line is masked into [0, N) here —
   /// even a concurrently-rewritten map can never index out of bounds.
   /// apply() reads nothing but the line map, so this is bit-identical to
-  /// apply() on an untorn map.  Requires (N+1)/2 packed words.
+  /// apply() on an untorn map.  Requires N/2 packed words.
   [[nodiscard]] Output apply_packed_lines(const std::atomic<std::uint64_t>* packed,
                                           const Permutation& pi,
                                           RouteScratch& scratch) const;

@@ -3,8 +3,9 @@
 // Every hot word-parallel pass of CompiledBnb — the arbiter's compress and
 // interleave passes, the masked switch exchange, the unshuffle wiring, the
 // fused bit-slice column pass of the wide datapath, and the slice fill and
-// drain around it — is reached through
-// a KernelSet of function pointers.  One set per implementation tier:
+// drain around it — and the clean-delivery proof in front of the
+// DeliveryAudit classifier are reached through a KernelSet of function
+// pointers.  One set per implementation tier:
 //
 //   scalar   portable 64-bit words (PEXT/PDEP when compiled with BMI2) over
 //            the PER-LINE datapath — bit-identical to the pre-kernel engine
@@ -36,6 +37,10 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+
+namespace bnb {
+struct Word;  // core/bnb_network.hpp: {uint32 address, 4 padding bytes, uint64 payload}
+}  // namespace bnb
 
 namespace bnb::kernels {
 
@@ -109,6 +114,16 @@ struct KernelSet {
   /// words per step in one register, the scalar fallback loops.
   void (*small_apply8)(const std::uint64_t* masks, const std::uint8_t* deltas,
                        std::size_t depth, std::uint64_t* lanes);
+  /// Clean-delivery proof over n delivered words (n a power of two,
+  /// `requested` the n-entry image of a permutation): true iff EVERY line
+  /// satisfies
+  ///   outputs[line].payload < n,  outputs[line].address == line,
+  ///   requested[outputs[line].payload] == line.
+  /// Reads every word; never reads `requested` out of range whatever the
+  /// payloads hold; the 4 padding bytes after Word::address are ignored.
+  /// DeliveryAudit runs it ahead of its exact classifier.
+  bool (*delivery_clean)(const std::uint32_t* requested, const Word* outputs,
+                         std::size_t n);
 };
 
 /// The portable per-line reference set (always available, every host).

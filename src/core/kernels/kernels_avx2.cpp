@@ -14,6 +14,7 @@
 #include <immintrin.h>
 
 #include "core/bit_pack.hpp"
+#include "core/bnb_network.hpp"  // Word
 #include "core/kernels/kernel_impl.hpp"
 #include "core/kernels/scalar_core.hpp"
 
@@ -244,6 +245,44 @@ void small_apply8_k(const std::uint64_t* masks, const std::uint8_t* deltas,
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + 4), x1);
 }
 
+// Clean-delivery proof: 4 lines per step.  Two 256-bit loads hold 4 Words
+// as (address | padding, payload) qword pairs; the in-lane unpacks split
+// them in line order 0, 2, 1, 3.  AVX2 has no unsigned 64-bit compare, so
+// the proof mirrors the scalar reference: payload & ~(n - 1) flags a
+// payload >= n, the gather index payload & (n - 1) never leaves
+// `requested`, and the address compare keeps only the low dword (the
+// padding is ignored).  Mismatch bits OR-accumulate; one test at the end.
+bool delivery_clean_k(const std::uint32_t* requested, const Word* outputs, std::size_t n) {
+  static_assert(sizeof(Word) == 16, "two Words per 256 bits");
+  const __m256i low = bcast(n - 1);
+  const __m256i dword = bcast(0xFFFFFFFFULL);
+  const __m256i step64 = bcast(4);
+  const __m128i step32 = _mm_set1_epi32(4);
+  __m256i lines64 = _mm256_setr_epi64x(0, 2, 1, 3);
+  __m128i lines32 = _mm_setr_epi32(0, 2, 1, 3);
+  __m256i bad = _mm256_setzero_si256();
+  __m128i bad32 = _mm_setzero_si128();
+  const auto* table = reinterpret_cast<const int*>(requested);
+  std::size_t line = 0;
+  for (; line + 4 <= n; line += 4) {
+    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(outputs + line));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(outputs + line + 2));
+    const __m256i address = _mm256_unpacklo_epi64(a, b);
+    const __m256i payload = _mm256_unpackhi_epi64(a, b);
+    const __m256i misaddressed =
+        _mm256_and_si256(_mm256_xor_si256(address, lines64), dword);
+    bad = _mm256_or_si256(bad, _mm256_or_si256(_mm256_andnot_si256(low, payload),
+                                               misaddressed));
+    const __m128i want = _mm256_i64gather_epi32(table, _mm256_and_si256(payload, low), 4);
+    bad32 = _mm_or_si128(bad32, _mm_xor_si128(want, lines32));
+    lines64 = _mm256_add_epi64(lines64, step64);
+    lines32 = _mm_add_epi32(lines32, step32);
+  }
+  return _mm256_testz_si256(bad, bad) != 0 && _mm_testz_si128(bad32, bad32) != 0 &&
+         detail::delivery_clean_scalar(requested, outputs, line, n);
+}
+
 }  // namespace
 
 namespace detail {
@@ -261,7 +300,8 @@ const KernelSet kAvx2Set{"avx2",
                          &slice_pass_k,
                          &pack_slices_k,
                          kScalarSet.unpack_slices,
-                         &small_apply8_k};
+                         &small_apply8_k,
+                         &delivery_clean_k};
 }  // namespace detail
 
 }  // namespace bnb::kernels

@@ -11,6 +11,7 @@
 #include <immintrin.h>
 
 #include "core/bit_pack.hpp"
+#include "core/bnb_network.hpp"  // Word
 #include "core/kernels/kernel_impl.hpp"
 #include "core/kernels/scalar_core.hpp"
 
@@ -290,6 +291,39 @@ void small_apply8_k(const std::uint64_t* masks, const std::uint8_t* deltas,
   _mm512_storeu_si512(lanes, x);
 }
 
+// Clean-delivery proof: 8 lines per step.  Two 512-bit loads hold the 8
+// Words as (address | padding, payload) qword pairs; VPERMT2Q splits out the
+// payloads and VPERMT2D the address dwords (never a padding dword).  The
+// requested[payload] lookup is a VPGATHERQD masked by payload < n, so no
+// lane gathers out of range, and the masked-off lanes fail the final
+// compare through the same mask.  Lines past the last whole step (n < 8)
+// take the scalar reference.
+bool delivery_clean_k(const std::uint32_t* requested, const Word* outputs, std::size_t n) {
+  static_assert(sizeof(Word) == 16, "four Words per 512 bits");
+  const __m512i payload_idx = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+  const __m512i address_idx =
+      _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 0, 0, 0, 0, 0, 0, 0, 0);
+  const __m512i limit = bcast(n);
+  const __m256i step = _mm256_set1_epi32(8);
+  __m256i lines = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  __mmask8 ok = 0xFF;
+  std::size_t line = 0;
+  for (; line + 8 <= n; line += 8) {
+    const __m512i lo = _mm512_loadu_si512(outputs + line);
+    const __m512i hi = _mm512_loadu_si512(outputs + line + 4);
+    const __m512i payload = _mm512_permutex2var_epi64(lo, payload_idx, hi);
+    const __m256i address =
+        _mm512_castsi512_si256(_mm512_permutex2var_epi32(lo, address_idx, hi));
+    const __mmask8 in_range = _mm512_cmplt_epu64_mask(payload, limit);
+    const __m256i want = _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), in_range,
+                                                     payload, requested, 4);
+    const __mmask8 addressed = _mm256_mask_cmpeq_epi32_mask(in_range, address, lines);
+    ok &= _mm256_mask_cmpeq_epi32_mask(addressed, want, lines);
+    lines = _mm256_add_epi32(lines, step);
+  }
+  return ok == 0xFF && detail::delivery_clean_scalar(requested, outputs, line, n);
+}
+
 }  // namespace
 
 namespace detail {
@@ -306,7 +340,8 @@ const KernelSet kAvx512Set{"avx512",
                            &slice_pass_k,
                            &pack_slices_k,
                            &unpack_slices_k,
-                           &small_apply8_k};
+                           &small_apply8_k,
+                           &delivery_clean_k};
 }  // namespace detail
 
 }  // namespace bnb::kernels

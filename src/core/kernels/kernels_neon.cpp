@@ -62,7 +62,10 @@ const KernelSet kNeonSet{"neon",
                          kWideSet.unpack_slices,
                          // 128-bit lanes gain nothing over the unrolled
                          // scalar step loop for the small-schedule replay.
-                         kScalarSet.small_apply8};
+                         kScalarSet.small_apply8,
+                         // No NEON gather: the proof's table lookup stays
+                         // a scalar load per line.
+                         kScalarSet.delivery_clean};
 }  // namespace detail
 
 }  // namespace bnb::kernels

@@ -93,6 +93,12 @@ void small_apply8_k(const std::uint64_t* masks, const std::uint8_t* deltas,
   }
 }
 
+// Clean-delivery proof: the branch-free reference loop (scalar_core.hpp),
+// which the SIMD tiers also run on their sub-vector tails.
+bool delivery_clean_k(const std::uint32_t* requested, const Word* outputs, std::size_t n) {
+  return detail::delivery_clean_scalar(requested, outputs, 0, n);
+}
+
 constexpr KernelSet make_set(const char* name, Tier tier, bool wide) {
   return KernelSet{name,
                    tier,
@@ -107,7 +113,8 @@ constexpr KernelSet make_set(const char* name, Tier tier, bool wide) {
                    &slice_pass_k,
                    &pack_slices_k,
                    &unpack_slices_k,
-                   &small_apply8_k};
+                   &small_apply8_k,
+                   &delivery_clean_k};
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Shared scalar word loops for slice_pass and pack/unpack_slices: the SIMD
-// tiers reuse these for their sub-vector tails so the tail arithmetic can
-// never diverge from the scalar tier (tests would catch it, but sharing
-// removes the possibility).  Internal to src/core/kernels/.
+// Shared scalar word loops for slice_pass, pack/unpack_slices and the
+// delivery_clean proof: the SIMD tiers reuse these for their sub-vector
+// tails so the tail arithmetic can never diverge from the scalar tier
+// (tests would catch it, but sharing removes the possibility).  Internal
+// to src/core/kernels/.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "core/bit_pack.hpp"
+#include "core/bnb_network.hpp"  // Word
 
 namespace bnb::kernels::detail {
 
@@ -133,6 +135,21 @@ inline void unpack_slices_scalar(const std::uint64_t* slices, std::size_t n,
       values[64 * b + t] = tag[(x[t] & low) ^ p] ^ p;
     }
   }
+}
+
+/// delivery_clean over lines [begin, n): one branch-free OR of every
+/// line's mismatch bits.  n is a power of two, so `payload & ~(n - 1)` is
+/// nonzero exactly when payload >= n, and the table index payload & (n - 1)
+/// never leaves `requested` (an out-of-range payload already fails).
+inline bool delivery_clean_scalar(const std::uint32_t* requested, const Word* outputs,
+                                  std::size_t begin, std::size_t n) noexcept {
+  const std::uint64_t low = n - 1;
+  std::uint64_t bad = 0;
+  for (std::size_t line = begin; line < n; ++line) {
+    const std::uint64_t p = outputs[line].payload;
+    bad |= (p & ~low) | (outputs[line].address ^ line) | (requested[p & low] ^ line);
+  }
+  return bad == 0;
 }
 
 }  // namespace bnb::kernels::detail

@@ -2,16 +2,27 @@
 //
 // The self-routing theorem guarantees delivery only for a HEALTHY network;
 // a robust system re-checks every delivery instead of trusting the
-// hardware.  The audit walks the delivered output lines once and verifies,
-// per word, that (1) its address survived transit, (2) it rests on the line
-// its requested destination names, (3) its payload provenance is intact,
-// and that the slice as a whole is still a bijection with the expected
-// checksum.  The checksum is summed in that same pass: the constructor
-// tabulates the per-index address and payload mixes (16 B x N), so an
-// in-range word costs two table loads instead of two SplitMix64 mixes.
-// Failures are classified into the RouteErrorKind taxonomy so the
-// RobustRouter can tell transient misroutes (retry) from structural damage
-// (fall back, diagnose).
+// hardware.  The audit verifies, per word, that (1) its address survived
+// transit, (2) it rests on the line its requested destination names, (3)
+// its payload provenance is intact, and that the slice as a whole is still
+// a bijection with the expected checksum.
+//
+// It runs in two tiers over the same words:
+//   proof       one vectorised pass (KernelSet::delivery_clean): every line
+//               has payload < N, address == line and pi(payload) == line.
+//               Thm. 2 makes this the common case, and when it holds the
+//               exact classifier provably returns a clean report (the
+//               argument is at DeliveryAudit::audit), so the proof's "yes"
+//               IS that report;
+//   classifier  the exact one-pass audit, run only when the proof fails: it
+//               sums the slice checksum in the same pass (the constructor
+//               tabulates the per-index address and payload mixes, 16 B x
+//               N) and classifies every failure into the RouteErrorKind
+//               taxonomy so the RobustRouter can tell transient misroutes
+//               (retry) from structural damage (fall back, diagnose).
+// The report is bit-identical to the classifier's alone for every input.
+// audit() keeps no mutable state, so one const DeliveryAudit may audit
+// from many threads at once.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +31,7 @@
 #include <vector>
 
 #include "core/bnb_network.hpp"  // Word
+#include "core/kernels/kernel_set.hpp"
 #include "perm/permutation.hpp"
 
 namespace bnb {
@@ -61,16 +73,21 @@ class DeliveryAudit {
   /// badly broken fabric fails every line and the report must stay small.
   static constexpr std::size_t kMaxFindings = 16;
 
-  explicit DeliveryAudit(unsigned m);
+  /// Audit deliveries of an N = 2^m network.  Requires 1 <= m < 26.  The
+  /// clean-delivery proof runs on `kernels`; nullptr (the default) binds
+  /// kernels::active_kernels(), as CompiledBnb does.  An explicit set pins
+  /// a tier for testing or comparison.
+  explicit DeliveryAudit(unsigned m, const kernels::KernelSet* kernels = nullptr);
 
   [[nodiscard]] unsigned m() const noexcept { return m_; }
   [[nodiscard]] std::size_t inputs() const noexcept { return std::size_t{1} << m_; }
 
   /// Audit the delivery of `pi` under the engine convention "input j
   /// carried address pi(j) and payload j": outputs[line] is the word
-  /// delivered at each output line.  One O(N) pass covering every check,
-  /// the checksum over every delivered word included; allocation-free
-  /// when clean.
+  /// delivered at each output line.  Every delivered word is read: by the
+  /// clean-delivery proof, and when that fails by the one-pass classifier
+  /// (every check, the checksum over every word included).  Allocation-free
+  /// when clean; reentrant.
   [[nodiscard]] AuditReport audit(const Permutation& pi,
                                   std::span<const Word> outputs) const;
 
@@ -86,11 +103,15 @@ class DeliveryAudit {
   }
 
  private:
+  /// The exact one-pass audit behind a failed proof.
+  [[nodiscard]] AuditReport classify(const Permutation& pi,
+                                     std::span<const Word> outputs) const;
+
   unsigned m_;
+  const kernels::KernelSet* ks_;  ///< bound at construction, never null
   std::uint64_t expected_checksum_;
   std::vector<std::uint64_t> address_mix_;  ///< address_mix_[a] = mix of address a < N
   std::vector<std::uint64_t> payload_mix_;  ///< payload_mix_[p] = mix of payload p < N
-  mutable std::vector<std::uint8_t> seen_;  ///< input-index scoreboard
 };
 
 }  // namespace bnb

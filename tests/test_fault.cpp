@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -318,56 +323,128 @@ AuditReport reference_audit(const Permutation& pi, std::span<const Word> outputs
   return report;
 }
 
+/// got must equal want finding for finding.
+void expect_same_report(const AuditReport& got, const AuditReport& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.ok, want.ok) << where;
+  ASSERT_EQ(got.errors, want.errors) << where;
+  ASSERT_EQ(got.findings.size(), want.findings.size()) << where;
+  for (std::size_t f = 0; f < want.findings.size(); ++f) {
+    ASSERT_EQ(got.findings[f].kind, want.findings[f].kind) << where << " f=" << f;
+    ASSERT_EQ(got.findings[f].line, want.findings[f].line) << where << " f=" << f;
+    ASSERT_EQ(got.findings[f].address, want.findings[f].address) << where << " f=" << f;
+    ASSERT_EQ(got.findings[f].payload, want.findings[f].payload) << where << " f=" << f;
+  }
+}
+
+/// A clean delivery of pi under the engine convention, then `corruptions`
+/// seeded single corruptions on top of it.
+std::vector<Word> corrupted_delivery(const Permutation& pi, int corruptions, Rng& rng) {
+  const std::size_t n = pi.size();
+  const unsigned m = static_cast<unsigned>(std::countr_zero(n));
+  std::vector<Word> out(n);
+  for (std::size_t j = 0; j < n; ++j) out[pi(j)] = Word{pi(j), std::uint64_t{j}};
+  for (int c = 0; c < corruptions; ++c) {
+    const std::size_t line = rng.below(n);
+    const std::size_t other = rng.below(n);
+    switch (rng.below(5)) {
+      case 0:  // swapped lines
+        std::swap(out[line], out[other]);
+        break;
+      case 1:  // a payload duplicated over another line
+        out[line].payload = out[other].payload;
+        break;
+      case 2:  // payload >= N, from just past the end to huge
+        out[line].payload = n + ((rng.next() >> 1) >> rng.below(63));
+        break;
+      case 3:  // a flipped address bit, inside or outside [0, N)
+        out[line].address ^= 1U << rng.below(rng.flip() ? m : 32);
+        break;
+      default:  // address >= N
+        out[line].address = static_cast<std::uint32_t>(n + rng.below(0x100000000ULL - n));
+        break;
+    }
+  }
+  return out;
+}
+
 TEST(DeliveryAudit, OnePassMatchesTheTwoPassReferenceOnSeededCorruptions) {
+  // Every tier's audit (the clean-delivery proof, then the classifier when
+  // it fails) against the reference, through the explicit-set constructor.
   Rng rng(0xA0D18);
   std::size_t dirty = 0;
-  for (unsigned m = 1; m <= 10; ++m) {
-    const DeliveryAudit audit(m);
+  for (unsigned m = 1; m <= 14; ++m) {
+    std::vector<DeliveryAudit> audits;
+    for (const kernels::KernelSet* set : kernels::supported_kernel_sets()) {
+      audits.emplace_back(m, set);
+    }
     const std::size_t n = std::size_t{1} << m;
     for (int trial = 0; trial < 200; ++trial) {
       const Permutation pi = random_perm(n, rng);
-      std::vector<Word> out(n);
-      for (std::size_t j = 0; j < n; ++j) out[pi(j)] = Word{pi(j), std::uint64_t{j}};
       // 0..3 corruptions on a clean delivery; trial 0 stays clean, and
       // every 25th trial scrambles enough lines to hit the findings cap.
       const int corruptions = trial == 0 ? 0 : trial % 25 == 0 ? 40 : 1 + trial % 3;
-      for (int c = 0; c < corruptions; ++c) {
-        const std::size_t line = rng.below(n);
-        const std::size_t other = rng.below(n);
-        switch (rng.below(5)) {
-          case 0:  // swapped lines
-            std::swap(out[line], out[other]);
-            break;
-          case 1:  // a payload duplicated over another line
-            out[line].payload = out[other].payload;
-            break;
-          case 2:  // payload >= N, from just past the end to huge
-            out[line].payload = n + ((rng.next() >> 1) >> rng.below(63));
-            break;
-          case 3:  // a flipped address bit, inside or outside [0, N)
-            out[line].address ^= 1U << rng.below(rng.flip() ? m : 32);
-            break;
-          default:  // address >= N
-            out[line].address = static_cast<std::uint32_t>(n + rng.below(0x100000000ULL - n));
-            break;
-        }
-      }
+      const std::vector<Word> out = corrupted_delivery(pi, corruptions, rng);
       const AuditReport want = reference_audit(pi, out);
-      const AuditReport got = audit.audit(pi, out);
       dirty += want.ok ? 0 : 1;
-      ASSERT_EQ(got.ok, want.ok) << "m=" << m << " trial " << trial;
-      ASSERT_EQ(got.errors, want.errors) << "m=" << m << " trial " << trial;
-      ASSERT_EQ(got.findings.size(), want.findings.size()) << "m=" << m << " trial " << trial;
-      for (std::size_t f = 0; f < want.findings.size(); ++f) {
-        ASSERT_EQ(got.findings[f].kind, want.findings[f].kind) << "m=" << m << " f=" << f;
-        ASSERT_EQ(got.findings[f].line, want.findings[f].line) << "m=" << m << " f=" << f;
-        ASSERT_EQ(got.findings[f].address, want.findings[f].address) << "m=" << m;
-        ASSERT_EQ(got.findings[f].payload, want.findings[f].payload) << "m=" << m;
+      for (std::size_t t = 0; t < audits.size(); ++t) {
+        expect_same_report(audits[t].audit(pi, out), want,
+                           std::string(kernels::supported_kernel_sets()[t]->name) +
+                               " m=" + std::to_string(m) + " trial " + std::to_string(trial));
       }
     }
   }
   // The corruptions must actually exercise the failure paths.
   EXPECT_GT(dirty, 1500U);
+}
+
+TEST(DeliveryAudit, ConcurrentAuditsOnOneConstObjectMatchTheReference) {
+  // audit() is const and must be reentrant: threads sharing one
+  // DeliveryAudit over clean and corrupted deliveries each get exactly the
+  // reference report (a shared scoreboard would let one thread's reset or
+  // marks leak into another's classification).
+  const unsigned m = 10;
+  const std::size_t n = std::size_t{1} << m;
+  const DeliveryAudit audit(m);
+  Rng rng(0xA0D19);
+  struct Case {
+    Permutation pi;
+    std::vector<Word> out;
+    AuditReport want;
+  };
+  std::vector<Case> cases;
+  for (int c = 0; c < 16; ++c) {
+    Permutation pi = random_perm(n, rng);
+    std::vector<Word> out = corrupted_delivery(pi, c % 2 == 0 ? 0 : 1 + c % 3, rng);
+    AuditReport want = reference_audit(pi, out);
+    cases.push_back({std::move(pi), std::move(out), std::move(want)});
+  }
+  constexpr int kThreads = 4;
+  constexpr int kAuditsPerThread = 20000;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kAuditsPerThread; ++i) {
+        const Case& c = cases[static_cast<std::size_t>(i + t) % cases.size()];
+        const AuditReport got = audit.audit(c.pi, c.out);
+        bool same = got.ok == c.want.ok && got.errors == c.want.errors &&
+                    got.findings.size() == c.want.findings.size();
+        for (std::size_t f = 0; same && f < got.findings.size(); ++f) {
+          same = got.findings[f].kind == c.want.findings[f].kind &&
+                 got.findings[f].line == c.want.findings[f].line &&
+                 got.findings[f].address == c.want.findings[f].address &&
+                 got.findings[f].payload == c.want.findings[f].payload;
+        }
+        if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::size_t dirty = 0;
+  for (const Case& c : cases) dirty += c.want.ok ? 0 : 1;
+  EXPECT_GE(dirty, 6U) << "the corrupted cases must reach the classifier";
+  EXPECT_EQ(mismatches.load(), 0) << "of " << kThreads * kAuditsPerThread << " audits";
 }
 
 // ---- RobustRouter -----------------------------------------------------

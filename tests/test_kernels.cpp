@@ -2,7 +2,8 @@
 // host must be BIT-IDENTICAL to the scalar reference — on the raw packed
 // primitives over randomized zero-tail arrays (1..4096 bits), on the fused
 // slice_pass against its three-pass composition, on the slice fill and
-// drain (pack/unpack_slices, 1..2^14 lines), and on full routes
+// drain (pack/unpack_slices, 1..2^14 lines), on the clean-delivery proof
+// (delivery_clean, every single corruption, m = 1..14), and on full routes
 // (exhaustive for m <= 3, randomized up to m = 12), including with a
 // non-empty EngineFaults overlay and with ControlTrace capture.  A SIMD
 // lane bug that survives this file does not exist.
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -296,6 +298,102 @@ TEST(Kernels, PackUnpackSlicesMatchBitDefinitionAndRoundTrip) {
       ASSERT_EQ(back, values) << set->name << " pack/unpack round trip bits=" << bits;
     }
   }
+}
+
+/// The proof's definition, written out: every line has payload < n,
+/// address == line and requested[payload] == line.
+bool clean_by_definition(const Permutation& pi, const std::vector<Word>& out) {
+  for (std::size_t line = 0; line < out.size(); ++line) {
+    const Word& w = out[line];
+    if (w.payload >= out.size() || w.address != line || pi(w.payload) != line) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Fill the 4 padding bytes after every Word::address with random bytes.
+void scribble_padding(std::vector<Word>& out, Rng& rng) {
+  static_assert(sizeof(Word) == 16, "Word carries 4 padding bytes after address");
+  for (Word& w : out) {
+    const auto garbage = static_cast<std::uint32_t>(rng());
+    std::memcpy(reinterpret_cast<unsigned char*>(&w) + sizeof(std::uint32_t), &garbage,
+                sizeof garbage);
+  }
+}
+
+TEST(Kernels, DeliveryCleanMatchesScalarOnEverySingleCorruption) {
+  // The proof every tier runs ahead of the DeliveryAudit classifier: it
+  // must hold on every clean delivery and fail on each single corruption,
+  // wherever in a vector step the bad line sits, and padding garbage must
+  // not change a result.  The scalar reference is checked against the
+  // definition; every tier against the scalar reference.
+  Rng rng(0xC0DE05);
+  const auto& ref = kernels::scalar_kernels();
+  std::size_t checked = 0;
+  for (unsigned m = 1; m <= 14; ++m) {
+    const std::size_t n = std::size_t{1} << m;
+    const Permutation pi = random_perm(n, rng);
+    const std::uint32_t* requested = pi.image().data();
+    std::vector<Word> clean(n);
+    for (std::size_t j = 0; j < n; ++j) clean[pi(j)] = Word{pi(j), std::uint64_t{j}};
+
+    auto expect_all = [&](const std::vector<Word>& out, bool want, const char* what,
+                          std::size_t line) {
+      ASSERT_EQ(clean_by_definition(pi, out), want) << what << " m=" << m << " line " << line;
+      ASSERT_EQ(ref.delivery_clean(requested, out.data(), n), want)
+          << "scalar " << what << " m=" << m << " line " << line;
+      std::vector<Word> scribbled = out;
+      scribble_padding(scribbled, rng);
+      for (const KernelSet* set : kernels::supported_kernel_sets()) {
+        ASSERT_EQ(set->delivery_clean(requested, out.data(), n), want)
+            << set->name << " " << what << " m=" << m << " line " << line;
+        ASSERT_EQ(set->delivery_clean(requested, scribbled.data(), n), want)
+            << set->name << " " << what << " (padding garbage) m=" << m << " line " << line;
+      }
+      ++checked;
+    };
+    expect_all(clean, true, "clean", 0);
+
+    // Every line for the small sizes (every lane of every step, and the
+    // scalar tail below 8 lines); the ends plus random lines above.
+    std::vector<std::size_t> lines;
+    if (m <= 5) {
+      for (std::size_t line = 0; line < n; ++line) lines.push_back(line);
+    } else {
+      lines = {0, 1, 7, 8, n / 2 + 3, n - 2, n - 1};
+      for (int k = 0; k < 8; ++k) lines.push_back(rng.below(n));
+    }
+    for (const std::size_t line : lines) {
+      // The other line of a swap or duplication: any line but this one.
+      const std::size_t other = (line + 1 + rng.below(n - 1)) % n;
+      for (const std::uint64_t bad_payload :
+           {std::uint64_t{n}, n + rng.below(1000), std::uint64_t{1} << 32,
+            (std::uint64_t{1} << 32) + clean[line].payload, ~std::uint64_t{0},
+            std::uint64_t{1} << 63}) {
+        std::vector<Word> out = clean;
+        out[line].payload = bad_payload;
+        expect_all(out, false, "payload >= N", line);
+      }
+      for (const bool inside : {true, false}) {
+        std::vector<Word> out = clean;
+        out[line].address ^= std::uint32_t{1} << (inside ? rng.below(m) : m + rng.below(32 - m));
+        expect_all(out, false, inside ? "address bit in [0,N)" : "address bit outside [0,N)",
+                   line);
+      }
+      {
+        std::vector<Word> out = clean;
+        std::swap(out[line], out[other]);
+        expect_all(out, false, "swapped lines", line);
+      }
+      {
+        std::vector<Word> out = clean;
+        out[line].payload = out[other].payload;
+        expect_all(out, false, "duplicated payload", line);
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000U);
 }
 
 // ---- full-route equivalence -------------------------------------------
