@@ -212,13 +212,11 @@ int main(int argc, char** argv) {
   const unsigned hardware_threads =
       std::max(1U, std::thread::hardware_concurrency());
   const bnb::kernels::KernelSet& selected = bnb::kernels::active_kernels();
-  std::printf("kernel dispatch: %s (wide_datapath=%d)\n", selected.name,
-              selected.wide_datapath ? 1 : 0);
+  std::printf("kernel dispatch: %s\n", selected.name);
 
   // Per-kernel-tier microbenchmark at a fixed mid size: one plan per
   // supported tier, identical permutation pool, so the rows isolate the
-  // kernel implementation (and the scalar row tracks the pre-kernel
-  // engine's per-line baseline).
+  // kernel implementation (the scalar row is the portable baseline).
   const unsigned tier_m = 12;
   std::vector<TierRow> tiers;
   {
@@ -691,8 +689,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"hardware_threads\": %u,\n", hardware_threads);
   std::fprintf(f, "  \"kernels\": {\n");
   std::fprintf(f, "    \"selected\": \"%s\",\n", selected.name);
-  std::fprintf(f, "    \"wide_datapath\": %s,\n",
-               selected.wide_datapath ? "true" : "false");
   std::fprintf(f, "    \"available\": [");
   {
     bool first = true;
@@ -706,9 +702,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < tiers.size(); ++i) {
     const auto& row = tiers[i];
     std::fprintf(f,
-                 "      {\"name\": \"%s\", \"wide_datapath\": %s, "
+                 "      {\"name\": \"%s\", "
                  "\"ns_per_perm\": %.1f, \"speedup_vs_scalar\": %.2f}%s\n",
-                 row.set->name, row.set->wide_datapath ? "true" : "false",
+                 row.set->name,
                  row.ns_per_perm, tiers.front().ns_per_perm / row.ns_per_perm,
                  i + 1 < tiers.size() ? "," : "");
   }

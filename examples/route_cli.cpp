@@ -664,7 +664,8 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) {
       bnb::obs::set_trace(nullptr);
       const std::vector<bnb::obs::SpanRecord> spans = span_trace.snapshot();
-      if (!write_text_file(trace_out, bnb::obs::trace_to_chrome(spans))) {
+      if (!write_text_file(trace_out,
+                           bnb::obs::trace_to_chrome(spans, span_trace.dropped()))) {
         std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
         return 2;
       }

@@ -6,9 +6,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
-#include <deque>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -193,14 +191,11 @@ void RouteScratch::prepare(const CompiledBnb& plan) {
   const std::size_t n = plan.inputs();
   const std::size_t words = bitpack::words_for(n);
   state_.assign(n, 0);
-  spare_.assign(n, 0);
+  entry_.assign(n, 0);
   bits_.assign(words, 0);
   ctl_.assign(plan.control_words(), 0);
   work_.assign(plan.work_words(), 0);
-  // Wide-datapath buffers are sized unconditionally: they cost q*N/8 bytes
-  // (less than one line buffer) and make every same-shape plan scratch-
-  // compatible regardless of which kernel tier it is bound to.  q = m
-  // address slices plus the poison-parity slice.
+  // q = m address slices plus the poison-parity slice.
   const std::size_t q = static_cast<std::size_t>(m) + 1;
   slices_.assign(q * words, 0);
   spare_slices_.assign(q * words, 0);
@@ -374,58 +369,6 @@ void CompiledBnb::column_controls(std::size_t column, std::uint64_t* bits,
   }
 }
 
-const std::uint64_t* CompiledBnb::route_lines(RouteScratch& s, ControlTrace* trace,
-                                              const EngineFaults* faults,
-                                              ControlSchedule* capture) const {
-  const std::size_t n = inputs();
-  const std::size_t words = bitpack::words_for(n);
-  const std::uint64_t poison = dead_crosspoint_poison(n);
-  std::uint64_t* state = s.state_.data();
-  std::uint64_t* spare = s.spare_.data();
-
-  std::size_t col_idx = 0;
-  for (unsigned stage = 0; stage < m_; ++stage) {
-    // Paper bit `stage` (bit 0 = MSB) of an m-bit address is integer bit
-    // m-1-stage; pack it for all lines, 64 lines per word.
-    const unsigned addr_bit = m_ - 1 - stage;
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::size_t lo = w * 64;
-      const std::size_t hi = std::min(n, lo + 64);
-      std::uint64_t packed = 0;
-      for (std::size_t t = lo; t < hi; ++t) {
-        packed |= ((state[t] >> addr_bit) & 1ULL) << (t - lo);
-      }
-      s.bits_[w] = packed;
-    }
-
-    const unsigned k = m_ - stage;
-    for (unsigned j = 0; j < k; ++j, ++col_idx) {
-      const Column& col = columns_[col_idx];
-      const ColumnFaultMasks* fcol =
-          faults != nullptr ? faults->column(col_idx) : nullptr;
-      // A capturing route decides each column straight into the schedule's
-      // slot — the capture costs no extra pass over the controls.
-      std::uint64_t* ctl = capture != nullptr
-                               ? capture->ctl_.data() + col_idx * capture->control_words_
-                               : s.ctl_.data();
-      column_controls(col_idx, s.bits_.data(), ctl, s.work_.data(), fcol);
-      if (trace != nullptr) {
-        trace->column_controls.emplace_back(
-            ctl, ctl + static_cast<std::ptrdiff_t>(control_words()));
-      }
-      if (fcol != nullptr && !fcol->dead.empty()) {
-        // A word crossing a dead path arrives with every address bit
-        // flipped; the audit layer is guaranteed to see the damage.
-        visit_dead_crosspoint_hits(*fcol, ctl,
-                                   [&](std::size_t line) { state[line] ^= poison; });
-      }
-      apply_column_to_lines<std::uint64_t>(ctl, {state, n}, {spare, n}, col.group);
-      std::swap(state, spare);
-    }
-  }
-  return state;
-}
-
 const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* trace,
                                                const EngineFaults* faults,
                                                ControlSchedule* capture) const {
@@ -435,7 +378,7 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
   std::uint64_t* sp = s.spare_slices_.data();
   std::uint64_t* tmp = s.slice_tmp_.data();
   std::uint64_t* state = s.state_.data();
-  std::uint64_t* entry = s.spare_.data();
+  std::uint64_t* entry = s.entry_.data();
 
   // Only the addresses cross the columns.  They are a bijection, so the
   // address a line delivers names the word that entered with it: keep that
@@ -526,9 +469,7 @@ CompiledBnb::Output CompiledBnb::route_impl(RouteScratch& s, ControlTrace* trace
     capture->solved_ = false;
   }
 
-  const std::uint64_t* state = ks_->wide_datapath
-                                   ? route_sliced(s, trace, faults, capture)
-                                   : route_lines(s, trace, faults, capture);
+  const std::uint64_t* state = route_sliced(s, trace, faults, capture);
 
   bool self_routed = true;
   const bool payload_is_input_index = payload_source.empty();
@@ -763,47 +704,17 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
     return result;
   }
 
-  // Work-stealing chunked scheduler.  The batch is cut into contiguous
-  // chunks (several per worker so stealing has something to take); each
-  // worker owns a deque seeded with a contiguous span of chunks, pops its
-  // own work from the FRONT (cache-friendly in-order progress) and, when
-  // empty, steals a victim's BACK chunk (the furthest from where the victim
-  // is working).  Spawning more workers than chunks is pointless, so the
-  // pool size is clamped to the chunk count — the oversubscription guard.
-  using ChunkRange = std::pair<std::size_t, std::size_t>;  // [begin, end)
-  struct ChunkQueue {
-    std::mutex mu;
-    std::deque<ChunkRange> chunks;
-  };
-
+  // Workers claim contiguous chunks of the batch from one atomic counter
+  // (StreamEngine's claim loop): in-order progress inside a chunk, load
+  // balance from several chunks per worker, no per-worker queues.  Spawning
+  // more workers than chunks is pointless, so the pool size is clamped to
+  // the chunk count — the oversubscription guard.
   const std::size_t chunk_size =
       std::max<std::size_t>(1, perms.size() / (std::size_t{8} * threads));
   const std::size_t nchunks = (perms.size() + chunk_size - 1) / chunk_size;
   const auto workers =
       static_cast<unsigned>(std::min<std::size_t>(threads, nchunks));
-
-  std::vector<ChunkQueue> queues(workers);
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(perms.size(), begin + chunk_size);
-    queues[static_cast<std::size_t>(c * workers / nchunks)].chunks.push_back(
-        {begin, end});
-  }
-
-  auto take = [&](unsigned victim, bool from_back) -> std::optional<ChunkRange> {
-    ChunkQueue& q = queues[victim];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (q.chunks.empty()) return std::nullopt;
-    ChunkRange r;
-    if (from_back) {
-      r = q.chunks.back();
-      q.chunks.pop_back();
-    } else {
-      r = q.chunks.front();
-      q.chunks.pop_front();
-    }
-    return r;
-  };
+  std::atomic<std::size_t> next_chunk{0};
 
   std::atomic<bool> all_ok{true};
   // First worker exception wins; the stop flag drains the remaining work so
@@ -834,7 +745,7 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
   const bool small_lane =
       small_capable() && (faults == nullptr || faults->empty());
 
-  auto drain = [&](unsigned self) {
+  auto drain = [&] {
     RouteScratch scratch;
     constexpr std::size_t kMemoSlots = 16;
     struct MemoEntry {
@@ -845,24 +756,19 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
     try {
       scratch.prepare(*this);
     } catch (...) {
-      // Treat a scratch failure (bad_alloc) like a fault of the first item
-      // this worker would have claimed.
-      std::size_t idx = 0;
-      {
-        std::lock_guard<std::mutex> lock(queues[self].mu);
-        if (!queues[self].chunks.empty()) idx = queues[self].chunks.front().first;
-      }
-      record_error(idx);
+      // A scratch failure (bad_alloc) fails the first item of the chunk
+      // this worker claims.  With every chunk already claimed, the other
+      // workers route the whole batch and there is no item to blame.
+      const std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (chunk < nchunks) record_error(chunk * chunk_size);
       return;
     }
     for (;;) {
       if (stop.load(std::memory_order_relaxed)) return;
-      std::optional<ChunkRange> range = take(self, /*from_back=*/false);
-      for (unsigned d = 1; !range && d < workers; ++d) {
-        range = take((self + d) % workers, /*from_back=*/true);
-      }
-      if (!range) return;  // every queue drained
-      for (std::size_t idx = range->first; idx < range->second; ++idx) {
+      const std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= nchunks) return;  // every chunk claimed
+      const std::size_t end = std::min(perms.size(), (chunk + 1) * chunk_size);
+      for (std::size_t idx = chunk * chunk_size; idx < end; ++idx) {
         if (stop.load(std::memory_order_relaxed)) return;
         // Each batch item is its own causal unit: a fresh trace id per
         // permutation (the small lane's apply_small span inherits it too).
@@ -897,8 +803,8 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
 
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
-  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(drain, t);
-  drain(0);
+  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(drain);
+  drain();
   for (auto& th : pool) th.join();
 
   if (first_error) {

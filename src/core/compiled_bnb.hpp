@@ -10,30 +10,30 @@
 //   * the tree arbiter of every splitter of a column evaluated word-
 //     parallel (compress/interleave passes over packed words), emitting the
 //     switch controls of the whole column as mask words;
-//   * a single fused pass per column that applies the switch exchanges and
-//     the following unshuffle wiring to the line state;
+//   * the lines carried BIT-SLICED, as in the paper's q-slice nested
+//     networks: the stage's sorting slice sets the switches and the other
+//     slices follow.  Only the m address slices cross the columns, each
+//     moved as packed words by one fused exchange+unshuffle pass per
+//     column — O(N*m/64) masked word operations per column instead of O(N)
+//     word moves.  The addresses are a bijection, so each delivered address
+//     names its input through the inverse permutation; one extra parity
+//     slice records dead-crosspoint poison so faulty routes keep the same
+//     slice layout;
 //   * a caller-owned RouteScratch so the steady state performs ZERO heap
 //     allocations (first use of a scratch sizes its buffers).
 //
 // Every word-parallel pass above is reached through a kernels::KernelSet
 // (core/kernels/kernel_set.hpp): function pointers bound once at plan
 // construction to the best tier the host can execute (scalar, avx2, avx512,
-// neon; BNB_KERNELS overrides).  Tiers with wide_datapath move the lines
-// BIT-SLICED: instead of permuting N 64-bit state words per column, only
-// the m address bit-slices are moved as packed words by the same fused
-// exchange+unshuffle pass that already drives the address bits — O(N*m/64)
-// masked word operations per column instead of O(N) word moves.  The
-// addresses are a bijection, so each delivered address names its input
-// through the inverse permutation; one extra parity slice records dead-
-// crosspoint poison so faulty routes keep the same slice layout.
+// neon; BNB_KERNELS overrides).  Every tier drives the same datapath.
 //
 // Controls/trace capture is opt-in (ControlTrace) and off the fast path:
 // plain route() computes only destinations and delivered words.
-// route_batch() adds a multi-threaded sustained-throughput API on top: a
-// work-stealing pool of chunked workers with one scratch each drains a span
-// of permutations.  Results are bit-identical to BnbNetwork::route_words
-// (tests/test_engine.cpp proves it exhaustively for m <= 3), on every
-// kernel tier (tests/test_kernels.cpp).
+// route_batch() adds a multi-threaded sustained-throughput API on top:
+// workers with one scratch each claim contiguous chunks of a span of
+// permutations from one atomic counter.  Results are bit-identical to
+// BnbNetwork::route_words (tests/test_engine.cpp proves it exhaustively
+// for m <= 3), on every kernel tier (tests/test_kernels.cpp).
 //
 // The control plane and the datapath are split: solve() runs the arbiter
 // trees once and materializes a ControlSchedule (every column's packed
@@ -140,8 +140,7 @@ class ControlSchedule {
 /// Reusable routing workspace.  prepare() (or the first route with this
 /// scratch) performs every allocation; after that, routing through any plan
 /// of the SAME SHAPE allocates nothing.  Shape = (m, packed word width):
-/// two plans of equal m are scratch-compatible regardless of kernel tier —
-/// a scratch always carries both the per-line and the bit-sliced buffers —
+/// two plans of equal m are scratch-compatible regardless of kernel tier,
 /// while a plan of different m re-prepares on first use.  A scratch serves
 /// one thread.
 class RouteScratch {
@@ -171,15 +170,14 @@ class RouteScratch {
   std::size_t words_ = 0;  ///< bitpack::words_for(n_): packed word width
 
   std::vector<std::uint64_t> state_;   ///< per line: input index << 32 | address
-  std::vector<std::uint64_t> spare_;   ///< per-line path: double buffer for state_;
-                                       ///< wide path: entry word by address
+  std::vector<std::uint64_t> entry_;   ///< entry word (as state_) by address
   std::vector<std::uint64_t> bits_;    ///< packed current address bit per line
   std::vector<std::uint64_t> ctl_;     ///< packed controls of the current column
   std::vector<std::uint64_t> work_;    ///< arbiter up/down levels + temporaries
-  std::vector<std::uint64_t> slices_;  ///< wide datapath: q = m + 1 bit-slices
-                                       ///< (m address bits, then the dead-
-                                       ///< crosspoint poison parity), slice s
-                                       ///< at [s * words_, ...)
+  std::vector<std::uint64_t> slices_;  ///< q = m + 1 bit-slices (m address
+                                       ///< bits, then the dead-crosspoint
+                                       ///< poison parity), slice s at
+                                       ///< [s * words_, ...)
   std::vector<std::uint64_t> spare_slices_;  ///< double buffer for slices_
   std::vector<std::uint64_t> slice_tmp_;     ///< slice_pass staging scratch
   std::vector<Word> outputs_;
@@ -425,13 +423,10 @@ class CompiledBnb {
                                   std::span<const Word> payload_source,
                                   const EngineFaults* faults,
                                   ControlSchedule* capture = nullptr) const;
-  /// Both return a pointer to the final line-state array (state_ or spare_).
-  /// A non-null `capture` receives every column's packed controls (flat,
-  /// allocation-free) as they are decided.
-  [[nodiscard]] const std::uint64_t* route_lines(RouteScratch& scratch,
-                                                 ControlTrace* trace,
-                                                 const EngineFaults* faults,
-                                                 ControlSchedule* capture) const;
+  /// The bit-sliced datapath: moves the m address slices (plus the poison
+  /// parity) through every column and returns the delivered line state
+  /// (state_).  A non-null `capture` receives every column's packed
+  /// controls (flat, allocation-free) as they are decided.
   [[nodiscard]] const std::uint64_t* route_sliced(RouteScratch& scratch,
                                                   ControlTrace* trace,
                                                   const EngineFaults* faults,

@@ -9,8 +9,7 @@
 
 namespace bnb::kernels::detail {
 
-extern const KernelSet kScalarSet;  // per-line datapath, portable words
-extern const KernelSet kWideSet;    // scalar kernels, bit-sliced datapath
+extern const KernelSet kScalarSet;  // portable words
 
 #if defined(BNB_KERNELS_HAVE_AVX2)
 extern const KernelSet kAvx2Set;

@@ -88,10 +88,10 @@ X86Features detect_x86() {
 
 #endif  // x86_64
 
-/// Build the registry once: scalar and wide always run; each SIMD set is
-/// appended only when its TU is compiled in and the host passes detection.
+/// Build the registry once: scalar always runs; each SIMD set is appended
+/// only when its TU is compiled in and the host passes detection.
 std::vector<const KernelSet*> build_registry() {
-  std::vector<const KernelSet*> sets{&detail::kScalarSet, &detail::kWideSet};
+  std::vector<const KernelSet*> sets{&detail::kScalarSet};
 #if defined(BNB_KERNELS_HAVE_AVX2) || defined(BNB_KERNELS_HAVE_AVX512)
 #if defined(__x86_64__) || defined(_M_X64)
   const X86Features f = detect_x86();
@@ -114,23 +114,15 @@ const std::vector<const KernelSet*>& registry() {
   return sets;
 }
 
-/// Best tier by dispatch priority: highest enum value wins, except `wide`
-/// (the portable datapath reference) which is never auto-selected.
-const KernelSet* best_supported() {
-  const KernelSet* best = &detail::kScalarSet;
-  for (const KernelSet* s : registry()) {
-    if (s->tier == Tier::kWide) continue;
-    if (static_cast<int>(s->tier) > static_cast<int>(best->tier)) best = s;
-  }
-  return best;
-}
+/// Best tier by dispatch priority: the registry is in ascending tier
+/// order, so the last supported set wins.
+const KernelSet* best_supported() { return registry().back(); }
 
 }  // namespace
 
 const char* tier_name(Tier tier) noexcept {
   switch (tier) {
     case Tier::kScalar: return "scalar";
-    case Tier::kWide: return "wide";
     case Tier::kAvx2: return "avx2";
     case Tier::kAvx512: return "avx512";
     case Tier::kNeon: return "neon";
@@ -139,8 +131,6 @@ const char* tier_name(Tier tier) noexcept {
 }
 
 const KernelSet& scalar_kernels() noexcept { return detail::kScalarSet; }
-
-const KernelSet& wide_kernels() noexcept { return detail::kWideSet; }
 
 std::span<const KernelSet* const> supported_kernel_sets() {
   const auto& sets = registry();

@@ -2,27 +2,24 @@
 //
 // Every hot word-parallel pass of CompiledBnb — the arbiter's compress and
 // interleave passes, the masked switch exchange, the unshuffle wiring, the
-// fused bit-slice column pass of the wide datapath, and the slice fill and
+// fused column pass of the bit-sliced datapath (the m address slices plus
+// one poison-parity slice moved as packed words), and the slice fill and
 // drain around it — and the clean-delivery proof in front of the
 // DeliveryAudit classifier are reached through a KernelSet of function
-// pointers.  One set per implementation tier:
+// pointers.  Every tier drives the same datapath; one set per
+// implementation tier:
 //
-//   scalar   portable 64-bit words (PEXT/PDEP when compiled with BMI2) over
-//            the PER-LINE datapath — bit-identical to the pre-kernel engine
-//            and the reference every other tier is tested against;
-//   wide     the same scalar kernels driving the BIT-SLICED wide datapath
-//            (the m address slices plus one poison-parity slice moved as
-//            packed words) — the portable reference for the SIMD tiers'
-//            datapath;
-//   avx2     256-bit kernels (4 words per step), wide datapath;
-//   avx512   512-bit kernels (8 words per step, masked tails), wide datapath;
-//   neon     128-bit kernels on aarch64, wide datapath.
+//   scalar   portable 64-bit words (PEXT/PDEP when compiled with BMI2) — the
+//            reference every other tier is tested against bit for bit;
+//   avx2     256-bit kernels (4 words per step);
+//   avx512   512-bit kernels (8 words per step, masked tails);
+//   neon     128-bit kernels on aarch64.
 //
 // The active set is chosen ONCE at first use: CPUID (and, on x86, XGETBV
 // state checks) picks the best tier the host can execute, and the
 // BNB_KERNELS environment variable overrides the choice for testing
-// ("scalar", "wide", "avx2", "avx512", "neon"; an unknown or unsupported
-// name throws).  CompiledBnb captures the set at construction, so a single
+// ("scalar", "avx2", "avx512", "neon"; an unknown or unsupported name
+// throws).  CompiledBnb captures the set at construction, so a single
 // process can also hold plans on different tiers (the equivalence suite
 // does exactly that via the explicit-set constructor).
 //
@@ -44,18 +41,17 @@ struct Word;  // core/bnb_network.hpp: {uint32 address, 4 padding bytes, uint64 
 
 namespace bnb::kernels {
 
-enum class Tier : std::uint8_t { kScalar, kWide, kAvx2, kAvx512, kNeon };
+enum class Tier : std::uint8_t { kScalar, kAvx2, kAvx512, kNeon };
 
-/// Human-readable tier name ("scalar", "wide", "avx2", "avx512", "neon").
+/// Human-readable tier name ("scalar", "avx2", "avx512", "neon").
 [[nodiscard]] const char* tier_name(Tier tier) noexcept;
 
 /// One dispatchable implementation of the engine's word-parallel passes.
 /// All sizes follow core/bit_pack.hpp: `nbits` logical bits, arrays of
 /// bitpack::words_for(nbits) words, zeroed tails in and out.
 struct KernelSet {
-  const char* name;    ///< tier_name(tier); also the BNB_KERNELS spelling
+  const char* name;  ///< tier_name(tier); also the BNB_KERNELS spelling
   Tier tier;
-  bool wide_datapath;  ///< true: CompiledBnb routes bit-sliced; false: per-line
 
   /// out[j] = in[2j] for j < nbits/2.
   void (*compress_even)(const std::uint64_t* in, std::size_t nbits,
@@ -80,7 +76,7 @@ struct KernelSet {
   /// dst[w] ^= src[w] (fault bit-flip overlays).
   void (*xor_words)(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t words);
-  /// Fused wide-datapath column pass for ONE packed slice: switch exchange
+  /// Fused datapath column pass for ONE packed slice: switch exchange
   /// under `ctl` followed by the chunk_bits unshuffle, i.e. exactly
   ///   compress_even(in) / compress_odd(in) -> masked_exchange -> chunk_concat
   /// in one sweep.  Requires nbits a multiple of 2*chunk_bits (every
@@ -90,13 +86,13 @@ struct KernelSet {
   void (*slice_pass)(const std::uint64_t* in, std::size_t nbits,
                      const std::uint64_t* ctl, std::size_t chunk_bits,
                      std::uint64_t* tmp, std::uint64_t* out);
-  /// Fill the wide datapath: gather bit a of each of the n line values
+  /// Fill the datapath: gather bit a of each of the n line values
   /// into packed slice a, for a < bits (bits < 32): bit t of
   /// slices[a * words_for(n) + w] is bit a of values[64w + t].  Lines past
   /// n pack as zero (the zero-tail invariant).
   void (*pack_slices)(const std::uint64_t* values, std::size_t n, unsigned bits,
                       std::uint64_t* slices);
-  /// Leave the wide datapath: the inverse of pack_slices over bits + 1
+  /// Leave the datapath: the inverse of pack_slices over bits + 1
   /// slices, re-attaching each line's tag word.  For line t let v be its
   /// bits-bit value from slices 0..bits-1 and p = 2^bits - 1 when slice
   /// `bits` (the poison parity) has bit t set, else 0; then
@@ -126,12 +122,8 @@ struct KernelSet {
                          std::size_t n);
 };
 
-/// The portable per-line reference set (always available, every host).
+/// The portable reference set (always available, every host).
 [[nodiscard]] const KernelSet& scalar_kernels() noexcept;
-
-/// The scalar-kernel wide-datapath set (always available; the portable
-/// reference for the SIMD tiers' bit-sliced data movement).
-[[nodiscard]] const KernelSet& wide_kernels() noexcept;
 
 /// Every set this build can execute on this host, scalar first, in
 /// ascending tier order.  Stable storage for the life of the process.

@@ -1,5 +1,5 @@
 // AVX2 kernel tier: 4 packed words per step for the data-movement passes
-// (masked exchange, interleave, unshuffle, the fused wide-datapath column
+// (masked exchange, interleave, unshuffle, the fused bit-slice column
 // pass), scalar PEXT for the half-width compress passes where a single
 // BMI2 instruction per word beats the 17-operation vector magic-mask
 // network.  Compiled with -mavx2 -mbmi2 only for this translation unit;
@@ -288,7 +288,6 @@ bool delivery_clean_k(const std::uint32_t* requested, const Word* outputs, std::
 namespace detail {
 const KernelSet kAvx2Set{"avx2",
                          Tier::kAvx2,
-                         /*wide_datapath=*/true,
                          // PEXT wins for the half-width compress passes.
                          kScalarSet.compress_even,
                          kScalarSet.compress_odd,

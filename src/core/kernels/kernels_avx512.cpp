@@ -329,7 +329,6 @@ bool delivery_clean_k(const std::uint32_t* requested, const Word* outputs, std::
 namespace detail {
 const KernelSet kAvx512Set{"avx512",
                            Tier::kAvx512,
-                           /*wide_datapath=*/true,
                            &compress_even_k,
                            &compress_odd_k,
                            &pair_xor_compress_k,

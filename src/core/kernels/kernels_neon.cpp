@@ -46,7 +46,6 @@ void xor_words_k(std::uint64_t* dst, const std::uint64_t* src, std::size_t words
 namespace detail {
 const KernelSet kNeonSet{"neon",
                          Tier::kNeon,
-                         /*wide_datapath=*/true,
                          // Scalar word loops win for the shuffle-heavy passes
                          // at 128-bit width; vectorize only the pure bitwise
                          // movement passes.
@@ -57,9 +56,9 @@ const KernelSet kNeonSet{"neon",
                          kScalarSet.chunk_concat,
                          &masked_exchange_k,
                          &xor_words_k,
-                         kWideSet.slice_pass,
-                         kWideSet.pack_slices,
-                         kWideSet.unpack_slices,
+                         kScalarSet.slice_pass,
+                         kScalarSet.pack_slices,
+                         kScalarSet.unpack_slices,
                          // 128-bit lanes gain nothing over the unrolled
                          // scalar step loop for the small-schedule replay.
                          kScalarSet.small_apply8,

@@ -1,9 +1,7 @@
 // Scalar kernel tier: the portable 64-bit reference implementations from
 // core/bit_pack.hpp (single PEXT instructions when compiled with BMI2),
-// exported twice — as the `scalar` set that keeps the engine's original
-// per-line datapath, and as the `wide` set that drives the bit-sliced wide
-// datapath with the identical word arithmetic.  Every SIMD tier is tested
-// bit-for-bit against these.
+// exported as the `scalar` set that drives the bit-sliced datapath on every
+// host.  Every SIMD tier is tested bit-for-bit against these.
 #include "core/bit_pack.hpp"
 #include "core/kernels/kernel_impl.hpp"
 #include "core/kernels/scalar_core.hpp"
@@ -99,29 +97,23 @@ bool delivery_clean_k(const std::uint32_t* requested, const Word* outputs, std::
   return detail::delivery_clean_scalar(requested, outputs, 0, n);
 }
 
-constexpr KernelSet make_set(const char* name, Tier tier, bool wide) {
-  return KernelSet{name,
-                   tier,
-                   wide,
-                   &compress_even_k,
-                   &compress_odd_k,
-                   &pair_xor_compress_k,
-                   &interleave_bits_k,
-                   &chunk_concat_k,
-                   &masked_exchange_k,
-                   &xor_words_k,
-                   &slice_pass_k,
-                   &pack_slices_k,
-                   &unpack_slices_k,
-                   &small_apply8_k,
-                   &delivery_clean_k};
-}
-
 }  // namespace
 
 namespace detail {
-const KernelSet kScalarSet = make_set("scalar", Tier::kScalar, false);
-const KernelSet kWideSet = make_set("wide", Tier::kWide, true);
+const KernelSet kScalarSet{"scalar",
+                           Tier::kScalar,
+                           &compress_even_k,
+                           &compress_odd_k,
+                           &pair_xor_compress_k,
+                           &interleave_bits_k,
+                           &chunk_concat_k,
+                           &masked_exchange_k,
+                           &xor_words_k,
+                           &slice_pass_k,
+                           &pack_slices_k,
+                           &unpack_slices_k,
+                           &small_apply8_k,
+                           &delivery_clean_k};
 }  // namespace detail
 
 }  // namespace bnb::kernels

@@ -152,33 +152,8 @@ std::string to_json(const RegistrySnapshot& snapshot) {
   return out;
 }
 
-std::string trace_to_json(std::span<const SpanRecord> spans,
-                          std::uint64_t dropped_total) {
-  std::string out = "{\n  \"schema\": \"bnb.trace.v2\",\n  \"dropped_total\": ";
-  append_u64(out, dropped_total);
-  out += ",\n  \"spans\": [";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"phase\": \"";
-    append_escaped(out, to_string(spans[i].phase));
-    out += "\", \"start_ns\": ";
-    append_u64(out, spans[i].start_ns);
-    out += ", \"duration_ns\": ";
-    append_u64(out, spans[i].duration_ns);
-    out += ", \"trace_id\": ";
-    append_u64(out, spans[i].trace_id);
-    out += ", \"parent_id\": ";
-    append_u64(out, spans[i].parent_id);
-    out += ", \"thread_id\": ";
-    append_u64(out, spans[i].thread_id);
-    out += "}";
-  }
-  if (!spans.empty()) out += "\n  ";
-  out += "]\n}\n";
-  return out;
-}
-
-std::string trace_to_chrome(std::span<const SpanRecord> spans) {
+std::string trace_to_chrome(std::span<const SpanRecord> spans,
+                            std::uint64_t dropped_total) {
   std::string events;
   const auto emit = [&events](std::string_view body) {
     if (!events.empty()) events += ",\n";
@@ -262,7 +237,9 @@ std::string trace_to_chrome(std::span<const SpanRecord> spans) {
     }
   }
 
-  std::string out = "{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [";
+  std::string out = "{\n  \"displayTimeUnit\": \"ns\",\n  \"otherData\": {\"dropped_total\": ";
+  append_u64(out, dropped_total);
+  out += "},\n  \"traceEvents\": [";
   if (!events.empty()) out += "\n" + events + "\n  ";
   out += "]\n}\n";
   return out;

@@ -234,7 +234,6 @@ TEST(BenchRoutingJson, MatchesTheDocumentedSchema) {
   ASSERT_TRUE(field(top, "kernels").is_object());
   const JsonObject& kernels = field(top, "kernels").object();
   ASSERT_TRUE(field(kernels, "selected").is_string());
-  ASSERT_TRUE(field(kernels, "wide_datapath").is_bool());
   ASSERT_TRUE(field(kernels, "m").is_number());
   ASSERT_TRUE(field(kernels, "available").is_array());
   const JsonArray& available = field(kernels, "available").array();
@@ -259,15 +258,12 @@ TEST(BenchRoutingJson, MatchesTheDocumentedSchema) {
     ASSERT_TRUE(field(row, "name").is_string());
     EXPECT_EQ(field(row, "name").str(), tier_names[i])
         << "tiers rows must follow the \"available\" order";
-    ASSERT_TRUE(field(row, "wide_datapath").is_bool());
     ASSERT_TRUE(field(row, "ns_per_perm").is_number());
     ASSERT_TRUE(field(row, "speedup_vs_scalar").is_number());
     const double ns = field(row, "ns_per_perm").num();
     EXPECT_GT(ns, 0.0);
     if (i == 0) {
       scalar_ns = ns;
-      EXPECT_FALSE(field(row, "wide_datapath").boolean())
-          << "the scalar reference routes per-line";
       EXPECT_NEAR(field(row, "speedup_vs_scalar").num(), 1.0, 0.005);
     } else {
       EXPECT_NEAR(field(row, "speedup_vs_scalar").num(), scalar_ns / ns, 0.05)

@@ -187,7 +187,7 @@ TEST(CompiledBnb, ScratchReuseAcrossPlansReChecksShape) {
   scratch.prepare(small);
   ASSERT_TRUE(scratch.prepared_for(small));
   // Same m, different kernel tier: one scratch serves both plans with no
-  // reallocation (it always carries the per-line AND the sliced buffers).
+  // reallocation (every tier drives the same bit-sliced buffers).
   EXPECT_TRUE(scratch.prepared_for(same_shape));
   EXPECT_TRUE(engine_route_ok(same_shape, scratch, rng));
   EXPECT_TRUE(engine_route_ok(small, scratch, rng));
@@ -290,12 +290,12 @@ TEST(CompiledBnb, BatchValidatesInput) {
   EXPECT_EQ(empty.permutations, 0U);
 }
 
-TEST(CompiledBnb, BatchWorkStealingCoversEveryChunkShape) {
-  // The chunked work-stealing scheduler must produce the same destinations
-  // as sequential routing whatever the chunk geometry: more threads than
-  // permutations (the oversubscription guard clamps the pool), prime batch
-  // sizes that leave ragged final chunks, and enough chunks per worker that
-  // idle workers actually steal.
+TEST(CompiledBnb, BatchChunkClaimsCoverEveryChunkShape) {
+  // Workers claiming chunks from one atomic counter must produce the same
+  // destinations as sequential routing whatever the chunk geometry: more
+  // threads than permutations (the oversubscription guard clamps the pool),
+  // prime batch sizes that leave ragged final chunks, and several chunks
+  // per worker so the claims interleave across workers.
   const unsigned m = 5;
   const CompiledBnb engine(m);
   const std::size_t n = engine.inputs();
@@ -544,7 +544,7 @@ TEST(CompiledBnb, SteadyStateSolveApplyAndCacheHitsAllocateNothing) {
   EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(perms.size()));
 }
 
-// ---- address-only wide datapath ----------------------------------------
+// ---- address-only bit-sliced datapath ----------------------------------
 
 /// solve() on every tier must compose to exactly the permutation it was
 /// given: the delivered address of each line names its input through the
@@ -629,8 +629,8 @@ void expect_faulty_routes_agree(const FaultModel& model, const Permutation& pi) 
 TEST(CompiledBnb, DeadCrosspointParityMatchesScalarAndBehavioral) {
   // Every word is poisoned once (odd: addresses delivered flipped), twice
   // (even: the flips cancel but later stages sorted on poisoned bits), and
-  // three times; the wide datapath's parity slice must recover each
-  // word's input exactly as the per-line tier and the behavioral model do.
+  // three times; the datapath's parity slice must recover each word's
+  // input on every tier exactly as the behavioral model does.
   Rng rng(0xDEAD5);
   for (const unsigned m : {3U, 5U, 8U}) {
     const std::size_t n = std::size_t{1} << m;

@@ -3,14 +3,16 @@
 // primitives over randomized zero-tail arrays (1..4096 bits), on the fused
 // slice_pass against its three-pass composition, on the slice fill and
 // drain (pack/unpack_slices, 1..2^14 lines), on the clean-delivery proof
-// (delivery_clean, every single corruption, m = 1..14), and on full routes
-// (exhaustive for m <= 3, randomized up to m = 12), including with a
-// non-empty EngineFaults overlay and with ControlTrace capture.  A SIMD
-// lane bug that survives this file does not exist.
+// (delivery_clean, every single corruption, m = 1..14).  Full routes and
+// route_words on every tier must equal the behavioral BnbNetwork
+// (exhaustive for m <= 3, randomized up to m = 12, every single fault at
+// m = 4, a 12-fault campaign at m = 6), and their ControlTrace capture
+// must equal the scalar plan's.  A SIMD lane bug that survives this file
+// does not exist.
 //
 // The tier list is discovered at runtime (kernels::supported_kernel_sets),
-// so the same test binary checks scalar+wide everywhere, avx2/avx512 on
-// x86 hosts that have them, and neon on aarch64.
+// so the same test binary checks scalar everywhere, avx2/avx512 on x86
+// hosts that have them, and neon on aarch64.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 
 #include "common/rng.hpp"
 #include "core/bit_pack.hpp"
+#include "core/bnb_network.hpp"
 #include "core/compiled_bnb.hpp"
 #include "core/kernels/kernel_set.hpp"
 #include "fault/fault_model.hpp"
@@ -58,31 +61,19 @@ std::vector<std::size_t> size_sweep() {
 
 TEST(Kernels, RegistryListsScalarFirstInAscendingTierOrder) {
   const auto sets = kernels::supported_kernel_sets();
-  ASSERT_GE(sets.size(), 2U) << "scalar and wide are always available";
+  ASSERT_GE(sets.size(), 1U) << "scalar is always available";
   EXPECT_EQ(sets[0], &kernels::scalar_kernels());
-  EXPECT_EQ(sets[1], &kernels::wide_kernels());
-  EXPECT_FALSE(sets[0]->wide_datapath) << "scalar routes per-line";
   for (std::size_t i = 0; i < sets.size(); ++i) {
     EXPECT_STREQ(sets[i]->name, kernels::tier_name(sets[i]->tier));
     if (i > 0) {
       EXPECT_LT(static_cast<int>(sets[i - 1]->tier),
                 static_cast<int>(sets[i]->tier));
-      EXPECT_TRUE(sets[i]->wide_datapath)
-          << sets[i]->name << ": every non-scalar tier is bit-sliced";
     }
     EXPECT_EQ(kernels::find_kernels(sets[i]->name), sets[i])
         << "find_kernels must round-trip every supported name";
   }
   EXPECT_EQ(kernels::find_kernels("not-a-tier"), nullptr);
   EXPECT_EQ(kernels::find_kernels(""), nullptr);
-}
-
-TEST(Kernels, ActiveDispatchNeverAutoSelectsWide) {
-  // `wide` is the portable datapath reference, strictly slower than scalar
-  // on the movement-bound sizes — it must be reachable only by request.
-  if (std::getenv("BNB_KERNELS") == nullptr) {
-    EXPECT_NE(kernels::active_kernels().tier, kernels::Tier::kWide);
-  }
 }
 
 TEST(Kernels, EnvOverrideParsing) {
@@ -102,9 +93,12 @@ TEST(Kernels, EnvOverrideParsing) {
     EXPECT_EQ(kernels::kernels_from_env(), set) << set->name;
   }
 
-  ::setenv("BNB_KERNELS", "avx1024", 1);
-  EXPECT_THROW((void)kernels::kernels_from_env(), std::runtime_error)
-      << "a misspelled override must fail loudly, not fall back";
+  for (const char* rejected : {"avx1024", "wide"}) {
+    ::setenv("BNB_KERNELS", rejected, 1);
+    EXPECT_THROW((void)kernels::kernels_from_env(), std::runtime_error)
+        << rejected << ": a misspelled or retired override must fail loudly, "
+        << "not fall back";
+  }
 
   if (saved != nullptr) {
     ::setenv("BNB_KERNELS", saved_value.c_str(), 1);
@@ -210,7 +204,7 @@ TEST(Kernels, SlicePassMatchesItsThreePassComposition) {
 }
 
 TEST(Kernels, PackUnpackSlicesMatchBitDefinitionAndRoundTrip) {
-  // The slice fill and drain of the wide datapath.  The scalar reference
+  // The slice fill and drain of the bit-sliced datapath.  The scalar reference
   // (a 64x64 bit transpose pruned to the carried rows) is checked against
   // the bit definition; every tier against the scalar reference.  Sizes
   // cover the partial block (n < 64) and whole blocks up to 2^14 lines.
@@ -398,35 +392,58 @@ TEST(Kernels, DeliveryCleanMatchesScalarOnEverySingleCorruption) {
 
 // ---- full-route equivalence -------------------------------------------
 
-/// Route `pi` through a plan per tier and require outputs, destinations,
-/// self_routed, and (when tracing) every column's packed controls to be
-/// bit-identical to the scalar plan's.
-void expect_route_equivalence(unsigned m, const Permutation& pi,
-                              const EngineFaults* faults, bool with_trace) {
-  const CompiledBnb ref_plan(m, &kernels::scalar_kernels());
-  RouteScratch ref_scratch;
-  ControlTrace ref_trace;
-  const auto ref_out = ref_plan.route(pi, ref_scratch,
-                                      with_trace ? &ref_trace : nullptr, faults);
+/// Route `pi` through a plan per tier, under `model`'s faults when given,
+/// both as route(pi) and as route_words over 64-bit payloads, and require
+/// outputs, destinations and self_routed to equal the behavioral
+/// BnbNetwork's (Thm. 2 — the datapath reference).  With `with_trace`,
+/// every column's packed controls must also equal the scalar plan's
+/// ControlTrace: the behavioral model records words per stage, not
+/// switch settings.
+void expect_route_equivalence(unsigned m, const Permutation& pi, const FaultModel* model,
+                              bool with_trace) {
+  const std::size_t n = std::size_t{1} << m;
+  std::vector<Word> words(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    words[j] = Word{static_cast<std::uint32_t>(pi(j)), j * 0x9E3779B97F4A7C15ULL};
+  }
+  const BnbNetwork net(m);
+  const NetworkFaults network_faults =
+      model != nullptr ? compile_network_faults(*model) : NetworkFaults{};
+  const EngineFaults engine_faults =
+      model != nullptr ? compile_engine_faults(*model) : EngineFaults{};
+  const BnbNetwork::Result ref = net.route_with_faults(pi, network_faults);
+  const BnbNetwork::Result ref_words = net.route_words_with_faults(words, network_faults);
 
+  ControlTrace ref_trace;
+  if (with_trace) {
+    RouteScratch ref_scratch;
+    (void)CompiledBnb(m, &kernels::scalar_kernels())
+        .route(pi, ref_scratch, &ref_trace, &engine_faults);
+  }
+
+  const auto expect_same = [&](const CompiledBnb::Output& out,
+                               const BnbNetwork::Result& want, const char* tier,
+                               const char* entry) {
+    ASSERT_EQ(out.self_routed, want.self_routed) << tier << " " << entry << " m=" << m;
+    for (std::size_t line = 0; line < n; ++line) {
+      ASSERT_EQ(out.dest[line], want.dest[line])
+          << tier << " " << entry << " m=" << m << " dest[" << line << "]";
+      ASSERT_EQ(out.outputs[line], want.outputs[line])
+          << tier << " " << entry << " m=" << m << " word at line " << line;
+    }
+  };
   for (const KernelSet* set : kernels::supported_kernel_sets()) {
     const CompiledBnb plan(m, set);
     RouteScratch scratch;
     ControlTrace trace;
-    const auto out = plan.route(pi, scratch, with_trace ? &trace : nullptr, faults);
-    ASSERT_EQ(out.self_routed, ref_out.self_routed) << set->name << " m=" << m;
-    for (std::size_t line = 0; line < plan.inputs(); ++line) {
-      ASSERT_EQ(out.dest[line], ref_out.dest[line])
-          << set->name << " m=" << m << " dest[" << line << "]";
-      ASSERT_EQ(out.outputs[line].address, ref_out.outputs[line].address)
-          << set->name << " m=" << m << " address at line " << line;
-      ASSERT_EQ(out.outputs[line].payload, ref_out.outputs[line].payload)
-          << set->name << " m=" << m << " payload at line " << line;
-    }
+    expect_same(plan.route(pi, scratch, with_trace ? &trace : nullptr, &engine_faults), ref,
+                set->name, "route");
     if (with_trace) {
       ASSERT_EQ(trace.column_controls, ref_trace.column_controls)
           << set->name << " m=" << m << ": ControlTrace diverged";
     }
+    expect_same(plan.route_words(words, scratch, nullptr, &engine_faults), ref_words,
+                set->name, "route_words");
   }
 }
 
@@ -434,7 +451,7 @@ TEST(Kernels, FullRoutesMatchScalarExhaustivelyForSmallM) {
   for (unsigned m = 1; m <= 3; ++m) {
     Permutation pi = identity_perm(std::size_t{1} << m);
     do {
-      expect_route_equivalence(m, pi, nullptr, /*with_trace=*/false);
+      expect_route_equivalence(m, pi, nullptr, /*with_trace=*/true);
     } while (pi.next_lexicographic());
   }
 }
@@ -451,10 +468,10 @@ TEST(Kernels, FullRoutesMatchScalarRandomizedUpToM12) {
 }
 
 TEST(Kernels, RouteWordsPayloadsSurviveEveryTier) {
-  // The wide datapath never moves payloads through the network — it carries
+  // The datapath never moves payloads through the network — it carries
   // only address slices and re-attaches payloads at delivery through the
-  // inverse permutation.  Arbitrary
-  // 64-bit payloads must come through bit-identically anyway.
+  // inverse permutation.  Arbitrary 64-bit payloads must come through
+  // exactly as the behavioral network delivers them anyway.
   Rng rng(0xC0DE06);
   const unsigned m = 7;
   const std::size_t n = std::size_t{1} << m;
@@ -463,34 +480,32 @@ TEST(Kernels, RouteWordsPayloadsSurviveEveryTier) {
   for (std::size_t j = 0; j < n; ++j) {
     words[j] = Word{static_cast<std::uint32_t>(pi(j)), rng()};
   }
-  const CompiledBnb ref_plan(m, &kernels::scalar_kernels());
-  RouteScratch ref_scratch;
-  const auto ref_out = ref_plan.route_words(words, ref_scratch);
+  const BnbNetwork::Result ref = BnbNetwork(m).route_words(words);
   for (const KernelSet* set : kernels::supported_kernel_sets()) {
     const CompiledBnb plan(m, set);
     RouteScratch scratch;
     const auto out = plan.route_words(words, scratch);
+    EXPECT_EQ(out.self_routed, ref.self_routed) << set->name;
     for (std::size_t line = 0; line < n; ++line) {
-      ASSERT_EQ(out.outputs[line].payload, ref_out.outputs[line].payload)
-          << set->name << " line " << line;
-      ASSERT_EQ(out.dest[line], ref_out.dest[line]) << set->name;
+      ASSERT_EQ(out.outputs[line], ref.outputs[line]) << set->name << " line " << line;
+      ASSERT_EQ(out.dest[line], ref.dest[line]) << set->name;
     }
   }
 }
 
 TEST(Kernels, FaultOverlaysAndTraceMatchScalarForEverySingleFault) {
-  // Every single hardware fault of the m=4 network, compiled to an engine
-  // overlay and routed with trace capture on every tier: stuck controls,
-  // stuck flags, link flips, and dead crosspoints all steer the wide
-  // datapath exactly as they steer the per-line engine.
+  // Every single hardware fault of the m=4 network, compiled to the engine
+  // overlay and to the behavioral one, routed with trace capture on every
+  // tier: stuck controls, stuck flags, link flips, and dead crosspoints all
+  // steer the bit-sliced datapath exactly as they steer the behavioral
+  // network.
   Rng rng(0xC0DE07);
   const unsigned m = 4;
   const Permutation pi = random_perm(std::size_t{1} << m, rng);
   for (const FaultSpec& spec : FaultModel::all_single_faults(m)) {
     FaultModel model(m);
     model.add(spec);
-    const EngineFaults overlay = compile_engine_faults(model);
-    expect_route_equivalence(m, pi, &overlay, /*with_trace=*/true);
+    expect_route_equivalence(m, pi, &model, /*with_trace=*/true);
   }
 }
 
@@ -501,9 +516,8 @@ TEST(Kernels, MultiFaultCampaignMatchesScalarAtMediumSize) {
   for (const FaultSpec& spec : FaultModel::random_campaign(m, 12, rng)) {
     model.add(spec);
   }
-  const EngineFaults overlay = compile_engine_faults(model);
   for (int r = 0; r < 3; ++r) {
-    expect_route_equivalence(m, random_perm(std::size_t{1} << m, rng), &overlay,
+    expect_route_equivalence(m, random_perm(std::size_t{1} << m, rng), &model,
                              /*with_trace=*/true);
   }
 }
@@ -511,15 +525,21 @@ TEST(Kernels, MultiFaultCampaignMatchesScalarAtMediumSize) {
 TEST(Kernels, BatchResultsMatchAcrossTiers) {
   Rng rng(0xC0DE09);
   const unsigned m = 6;
+  const BnbNetwork net(m);
   std::vector<Permutation> perms;
-  for (int i = 0; i < 12; ++i) perms.push_back(random_perm(std::size_t{1} << m, rng));
-  const CompiledBnb ref_plan(m, &kernels::scalar_kernels());
-  const BatchResult ref = ref_plan.route_batch(perms, 2);
+  std::vector<std::uint32_t> ref_dest;
+  bool ref_self_routed = true;
+  for (int i = 0; i < 12; ++i) {
+    perms.push_back(random_perm(std::size_t{1} << m, rng));
+    const BnbNetwork::Result ref = net.route(perms.back());
+    ref_dest.insert(ref_dest.end(), ref.dest.begin(), ref.dest.end());
+    ref_self_routed = ref_self_routed && ref.self_routed;
+  }
   for (const KernelSet* set : kernels::supported_kernel_sets()) {
     const CompiledBnb plan(m, set);
     const BatchResult got = plan.route_batch(perms, 3);
-    EXPECT_EQ(got.dest, ref.dest) << set->name;
-    EXPECT_EQ(got.all_self_routed, ref.all_self_routed) << set->name;
+    EXPECT_EQ(got.dest, ref_dest) << set->name;
+    EXPECT_EQ(got.all_self_routed, ref_self_routed) << set->name;
   }
 }
 

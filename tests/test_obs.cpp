@@ -701,26 +701,19 @@ TEST(ObsExport, JsonHistogramCarriesCumulativeBuckets) {
   EXPECT_NE(json.find("{\"le\": \"+Inf\", \"count\": 1}"), std::string::npos);
 }
 
-TEST(ObsExport, TraceJson) {
+TEST(ObsExport, ChromeTraceCarriesDroppedTotal) {
+  // The envelope's otherData reports the ring's overwrite tally next to the
+  // events; it defaults to 0 for a caller with no SpanTrace.
   obs::SpanRecord records[2];
   records[0] = {Phase::kSolve, 100, 50, 7, 3, 1};
   records[1] = {Phase::kApply, 150, 25, 7, 3, 2};
-  const std::string json = obs::trace_to_json(records, /*dropped_total=*/4);
-  const std::string expected =
-      "{\n"
-      "  \"schema\": \"bnb.trace.v2\",\n"
-      "  \"dropped_total\": 4,\n"
-      "  \"spans\": [\n"
-      "    {\"phase\": \"solve\", \"start_ns\": 100, \"duration_ns\": 50, "
-      "\"trace_id\": 7, \"parent_id\": 3, \"thread_id\": 1},\n"
-      "    {\"phase\": \"apply\", \"start_ns\": 150, \"duration_ns\": 25, "
-      "\"trace_id\": 7, \"parent_id\": 3, \"thread_id\": 2}\n"
-      "  ]\n"
-      "}\n";
-  EXPECT_EQ(json, expected);
-  EXPECT_EQ(obs::trace_to_json({}),
-            "{\n  \"schema\": \"bnb.trace.v2\",\n  \"dropped_total\": 0,\n"
-            "  \"spans\": []\n}\n");
+  const std::string json = obs::trace_to_chrome(records, /*dropped_total=*/4);
+  EXPECT_TRUE(json.starts_with("{\n  \"displayTimeUnit\": \"ns\",\n"
+                              "  \"otherData\": {\"dropped_total\": 4},\n"
+                              "  \"traceEvents\": ["))
+      << json;
+  EXPECT_NE(obs::trace_to_chrome({}).find("\"otherData\": {\"dropped_total\": 0}"),
+            std::string::npos);
 }
 
 TEST(ObsExport, ChromeTraceGolden) {
@@ -782,11 +775,10 @@ TEST(ObsExport, ChromeTraceFromWrappedRing) {
   EXPECT_EQ(trace.dropped(), 5u);
   const auto spans = trace.snapshot();
   ASSERT_EQ(spans.size(), 4u);
-  const std::string json = obs::trace_to_chrome(spans);
+  const std::string json = obs::trace_to_chrome(spans, trace.dropped());
   // Oldest retained span is i=5 (ts 500 ns = 0.5 us).
   EXPECT_NE(json.find("\"ts\": 0.500"), std::string::npos);
-  const std::string v2 = obs::trace_to_json(spans, trace.dropped());
-  EXPECT_NE(v2.find("\"dropped_total\": 5"), std::string::npos);
+  EXPECT_NE(json.find("\"otherData\": {\"dropped_total\": 5}"), std::string::npos);
 }
 
 TEST(ObsExport, JsonStringEscapingInPhaseNames) {
