@@ -57,6 +57,25 @@ void BM_CompiledBnbRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledBnbRoute)->DenseRange(4, 14, 2);
 
+void BM_CompiledBnbSolve(benchmark::State& state) {
+  // The control plane alone — what every cache miss pays: arbiters, the
+  // live address slices through every column, the fused tail, the fill
+  // and drain.
+  const unsigned m = static_cast<unsigned>(state.range(0));
+  const bnb::CompiledBnb engine(m);
+  const auto pi = test_perm(engine.inputs());
+  bnb::RouteScratch scratch;
+  bnb::ControlSchedule schedule;
+  engine.solve(pi, scratch, schedule);
+  for (auto _ : state) {
+    engine.solve(pi, scratch, schedule);
+    benchmark::DoNotOptimize(schedule.line_of_input().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(engine.inputs()));
+}
+BENCHMARK(BM_CompiledBnbSolve)->DenseRange(4, 14, 1);
+
 void BM_CompiledBnbApply(benchmark::State& state) {
   // Replay of a solved schedule: the floor a warm cache hit is measured
   // against.

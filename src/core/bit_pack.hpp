@@ -1,20 +1,18 @@
-// Word-parallel bit-slice primitives for the flat routing engine.
+// Word-level bit-slice primitives for the flat routing engine.
 //
 // The compiled BNB engine (core/compiled_bnb.hpp) keeps one address bit per
-// line, packed 64 lines per uint64_t, and runs every splitter column of a
-// bit-sorter slice as a handful of word operations: the tree arbiter's up
-// pass is a pairwise-XOR *compress* (two children fold into one parent bit),
-// the down pass is a flag *interleave* (one parent bit expands into two
-// child flags), and the unshuffle wiring after the switch column is a
-// chunk-granular interleave of the even-output and odd-output halves.
+// line, packed 64 lines per uint64_t.  A switch column on one word is a
+// compress of the even- and odd-position bits (the two inputs of each
+// pair), a masked exchange, and a chunk-granular interleave back (the
+// unshuffle wiring after the column); the kernels in core/kernels/ build
+// every pass from these.
 //
-// All array routines operate on little-endian bit order (bit t of word w is
-// line 64*w + t) and preserve the invariant that bits past the logical size
-// of an array are zero, so no trailing-bit masking is needed between steps.
-// With BMI2 available the scalar kernels compile to single PEXT/PDEP
+// Little-endian bit order throughout: bit t of word w is line 64*w + t.
+// With BMI2 available the primitives compile to single PEXT/PDEP
 // instructions; the portable fallback is the classic magic-mask network.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -50,6 +48,13 @@ inline constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
 /// lands at bit offset 2*chunk*j (gaps of `chunk` zeros between chunks).
 /// Requires chunk in {1, 2, 4, 8, 16, 32}.
 [[nodiscard]] inline std::uint64_t spread_chunks(std::uint64_t x, unsigned chunk) noexcept {
+#if defined(__BMI2__)
+  // The first `chunk` lines of every 2*chunk-line group, by log2(chunk).
+  constexpr std::uint64_t kLowChunk[6] = {kEvenBits,          0x3333333333333333ULL,
+                                          0x0F0F0F0F0F0F0F0FULL, 0x00FF00FF00FF00FFULL,
+                                          0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL};
+  return _pdep_u64(x, kLowChunk[std::countr_zero(chunk)]);
+#else
   x &= 0xFFFFFFFFULL;
   if (chunk <= 16) x = (x | (x << 16)) & 0x0000FFFF0000FFFFULL;
   if (chunk <= 8) x = (x | (x << 8)) & 0x00FF00FF00FF00FFULL;
@@ -57,6 +62,7 @@ inline constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
   if (chunk <= 2) x = (x | (x << 2)) & 0x3333333333333333ULL;
   if (chunk <= 1) x = (x | (x << 1)) & kEvenBits;
   return x;
+#endif
 }
 
 /// Interleave the low 32 bits of `a` and `b` at chunk granularity:
@@ -65,93 +71,6 @@ inline constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
 [[nodiscard]] inline std::uint64_t interleave_chunks64(std::uint64_t a, std::uint64_t b,
                                                        unsigned chunk) noexcept {
   return spread_chunks(a, chunk) | (spread_chunks(b, chunk) << chunk);
-}
-
-/// out[j] = in[2j] for j < nbits/2 (compress the even-position bits).
-/// `in` holds `nbits` packed bits with zeroed tail; `out` gets nbits/2.
-/// Safe when out aliases neither in word that is still unread; callers here
-/// always use distinct buffers.
-inline void compress_even(const std::uint64_t* in, std::size_t nbits, std::uint64_t* out) noexcept {
-  const std::size_t in_words = words_for(nbits);
-  const std::size_t out_words = words_for(nbits / 2);
-  for (std::size_t i = 0; i < out_words; ++i) {
-    const std::uint64_t lo = in[2 * i];
-    const std::uint64_t hi = (2 * i + 1 < in_words) ? in[2 * i + 1] : 0;
-    out[i] = compress_even64(lo) | (compress_even64(hi) << 32);
-  }
-}
-
-/// out[j] = in[2j+1] for j < nbits/2 (compress the odd-position bits).
-inline void compress_odd(const std::uint64_t* in, std::size_t nbits, std::uint64_t* out) noexcept {
-  const std::size_t in_words = words_for(nbits);
-  const std::size_t out_words = words_for(nbits / 2);
-  for (std::size_t i = 0; i < out_words; ++i) {
-    const std::uint64_t lo = in[2 * i];
-    const std::uint64_t hi = (2 * i + 1 < in_words) ? in[2 * i + 1] : 0;
-    out[i] = compress_even64(lo >> 1) | (compress_even64(hi >> 1) << 32);
-  }
-}
-
-/// out[j] = in[2j] XOR in[2j+1]: one level of the arbiter's up pass, for all
-/// splitters of a column at once (pairs never straddle a word).
-inline void pair_xor_compress(const std::uint64_t* in, std::size_t nbits,
-                              std::uint64_t* out) noexcept {
-  const std::size_t in_words = words_for(nbits);
-  const std::size_t out_words = words_for(nbits / 2);
-  for (std::size_t i = 0; i < out_words; ++i) {
-    const std::uint64_t lo = in[2 * i];
-    const std::uint64_t hi = (2 * i + 1 < in_words) ? in[2 * i + 1] : 0;
-    out[i] = compress_even64(lo ^ (lo >> 1)) | (compress_even64(hi ^ (hi >> 1)) << 32);
-  }
-}
-
-/// out[2j] = a[j], out[2j+1] = b[j] for j < nbits_each: one level of the
-/// arbiter's down pass (parent flags expand to the two children).
-/// Bits of a/b at positions >= nbits_each may be garbage; they land past
-/// 2*nbits_each in `out` and are never consumed.
-inline void interleave_bits(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t nbits_each, std::uint64_t* out) noexcept {
-  const std::size_t in_words = words_for(nbits_each);
-  const std::size_t out_words = words_for(2 * nbits_each);
-  for (std::size_t i = 0; i < in_words; ++i) {
-    const std::uint64_t aw = a[i];
-    const std::uint64_t bw = b[i];
-    out[2 * i] = interleave_chunks64(aw & 0xFFFFFFFFULL, bw & 0xFFFFFFFFULL, 1);
-    if (2 * i + 1 < out_words) {
-      out[2 * i + 1] = interleave_chunks64(aw >> 32, bw >> 32, 1);
-    }
-  }
-}
-
-/// Concatenate `even` and `odd` chunkwise: output group g (of 2*chunk_bits
-/// lines) is even's chunk g followed by odd's chunk g.  This is exactly the
-/// GBN unshuffle applied to packed bits: within every 2*chunk_bits-line
-/// group, even outputs go to the upper half and odd outputs to the lower.
-/// `even`/`odd` hold nbits_each packed bits; chunk_bits is a power of two.
-inline void chunk_concat(const std::uint64_t* even, const std::uint64_t* odd,
-                         std::size_t nbits_each, std::size_t chunk_bits,
-                         std::uint64_t* out) noexcept {
-  const std::size_t out_words = words_for(2 * nbits_each);
-  if (chunk_bits >= 64) {
-    // Whole words: alternate runs of chunk_bits/64 words from each source.
-    const std::size_t run = chunk_bits / 64;
-    std::size_t w = 0;
-    for (std::size_t g = 0; w < out_words; ++g) {
-      for (std::size_t r = 0; r < run && w < out_words; ++r) out[w++] = even[g * run + r];
-      for (std::size_t r = 0; r < run && w < out_words; ++r) out[w++] = odd[g * run + r];
-    }
-    return;
-  }
-  const unsigned chunk = static_cast<unsigned>(chunk_bits);
-  const std::size_t in_words = words_for(nbits_each);
-  for (std::size_t i = 0; i < in_words; ++i) {
-    const std::uint64_t ew = even[i];
-    const std::uint64_t ow = odd[i];
-    out[2 * i] = interleave_chunks64(ew & 0xFFFFFFFFULL, ow & 0xFFFFFFFFULL, chunk);
-    if (2 * i + 1 < out_words) {
-      out[2 * i + 1] = interleave_chunks64(ew >> 32, ow >> 32, chunk);
-    }
-  }
 }
 
 /// Read packed bit `idx`.

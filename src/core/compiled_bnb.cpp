@@ -26,10 +26,15 @@ namespace bnb {
 
 namespace {
 
-// Work-buffer layout for column_controls: even/odd halves, the arbiter's up
-// and down level stacks (each level rounds up to whole words, hence the
-// +32-word slack for up to 25 levels), and two down-pass temporaries.
-constexpr std::size_t kLevelSlack = 32;
+// Main stages whose boxes fit in one 64-line word run as the fused tail
+// (KernelSet::solve_tail): the last min(m, 6) of them.
+constexpr unsigned kTailStages = 6;
+
+/// Columns of the fused tail: stages of k <= 6 columns each.
+constexpr std::size_t tail_columns(unsigned m) noexcept {
+  const unsigned k = m < kTailStages ? m : kTailStages;
+  return std::size_t{k} * (k + 1) / 2;
+}
 
 // Loop-based Beneš routing of one bit permutation, for the small-N
 // flattening.  Any permutation of n = 2^m elements routes through 2m - 1
@@ -193,13 +198,12 @@ void RouteScratch::prepare(const CompiledBnb& plan) {
   state_.assign(n, 0);
   entry_.assign(n, 0);
   bits_.assign(words, 0);
-  ctl_.assign(plan.control_words(), 0);
+  ctl_.assign(tail_columns(m) * plan.control_words(), 0);
   work_.assign(plan.work_words(), 0);
-  // q = m address slices plus the poison-parity slice.
-  const std::size_t q = static_cast<std::size_t>(m) + 1;
+  // m address slices, the poison parity, the arbiter tap's drift.
+  const std::size_t q = static_cast<std::size_t>(m) + 2;
   slices_.assign(q * words, 0);
   spare_slices_.assign(q * words, 0);
-  slice_tmp_.assign(words, 0);
   outputs_.assign(n, Word{});
   dest_.assign(n, 0);
   schedule_.prepare(plan);
@@ -254,12 +258,11 @@ std::size_t CompiledBnb::control_words() const noexcept {
 }
 
 std::size_t CompiledBnb::work_words() const noexcept {
-  const std::size_t half = bitpack::words_for(inputs() / 2);
-  // e + o + ups + downs + two temporaries.  A level stack holds every tree
-  // level: the leaf level (half words) plus halving word counts below it
-  // (< half words total) plus one word for each level narrower than 64
-  // bits (≤ kLevelSlack of those for any m < 26) — 2*half + slack bounds it.
-  return 4 * half + 2 * (2 * half + kLevelSlack);
+  const std::size_t words = bitpack::words_for(inputs());
+  // column_controls' advance of the bits (one slice pass's output), or the
+  // arbiter's levels above 64 lines: 2 words per 64 nodes per level of six,
+  // which 4 * words_for(words) + 16 bounds for m < 26.
+  return std::max(words, 4 * bitpack::words_for(words) + 16);
 }
 
 void CompiledBnb::column_controls(std::size_t column, std::uint64_t* bits,
@@ -269,103 +272,32 @@ void CompiledBnb::column_controls(std::size_t column, std::uint64_t* bits,
   BNB_EXPECTS(bits != nullptr && ctl != nullptr && work != nullptr);
   const Column& col = columns_[column];
   const std::size_t n = inputs();
-  const std::size_t pairs = n / 2;
-  const std::size_t half_words = bitpack::words_for(pairs);
-  const unsigned p = col.p;
-
-  const std::size_t stack_words = 2 * half_words + kLevelSlack;
-  std::uint64_t* e = work;
-  std::uint64_t* o = e + half_words;
-  std::uint64_t* ups = o + half_words;
-  std::uint64_t* downs = ups + stack_words;
-  std::uint64_t* tmp_a = downs + stack_words;
-  std::uint64_t* tmp_b = tmp_a + half_words;
-
+  const std::size_t words = bitpack::words_for(n);
+  if (faults != nullptr) check_fault_shapes(*faults, col.p);
   if (faults != nullptr && !faults->bit_flip.empty()) {
     // Broken bit-slice links into this column: arbiter and slice data both
     // see the inverted bit (the words — the other slices — do not).
-    const std::size_t words = bitpack::words_for(n);
-    BNB_EXPECTS(faults->bit_flip.size() == words);
-    ks_->xor_words(bits, faults->bit_flip.data(), words);
+    for (std::size_t w = 0; w < words; ++w) bits[w] ^= faults->bit_flip[w];
   }
-
-  ks_->compress_even(bits, n, e);
-  ks_->compress_odd(bits, n, o);
-
-  if (p == 1) {
-    // sp(1) has no arbiter (A(1) is wiring): the upper input bit is the
-    // switch signal itself.
-    std::copy(e, e + half_words, ctl);
-  } else {
-    // Level l of the per-splitter arbiter trees, evaluated for all
-    // splitters of the column at once: leaves are level p-1 (one bit per
-    // switch), the per-splitter roots are level 0.
-    std::array<std::uint64_t*, 32> up_lvl{};
-    std::array<std::uint64_t*, 32> down_lvl{};
-    std::array<std::size_t, 32> size{};
-    size[p - 1] = pairs;
-    up_lvl[p - 1] = ups;
-    down_lvl[p - 1] = downs;
-    for (unsigned l = p - 1; l-- > 0;) {
-      size[l] = size[l + 1] / 2;
-      up_lvl[l] = up_lvl[l + 1] + bitpack::words_for(size[l + 1]);
-      down_lvl[l] = down_lvl[l + 1] + bitpack::words_for(size[l + 1]);
-    }
-
-    // Up pass: z_u = XOR of the two child signals.
-    for (std::size_t w = 0; w < half_words; ++w) up_lvl[p - 1][w] = e[w] ^ o[w];
-    for (unsigned l = p - 1; l-- > 0;) {
-      ks_->pair_xor_compress(up_lvl[l + 1], size[l + 1], up_lvl[l]);
-    }
-
-    // Down pass: each root echoes its own up signal; a node with z_u = 0
-    // generates flags (0 up, 1 down), a node with z_u = 1 forwards its
-    // parent flag: child flags = (u & d, d | ~u) interleaved.
-    std::copy(up_lvl[0], up_lvl[0] + bitpack::words_for(size[0]), down_lvl[0]);
-    for (unsigned l = 0; l + 1 < p; ++l) {
-      const std::size_t lw = bitpack::words_for(size[l]);
-      for (std::size_t w = 0; w < lw; ++w) {
-        tmp_a[w] = up_lvl[l][w] & down_lvl[l][w];
-        tmp_b[w] = down_lvl[l][w] | ~up_lvl[l][w];
-      }
-      ks_->interleave_bits(tmp_a, tmp_b, size[l], down_lvl[l + 1]);
-    }
-
-    // Switch setting = s^I(2t) XOR f(2t); the flag of an even input is
-    // z_u AND z_d of its leaf node.
-    for (std::size_t w = 0; w < half_words; ++w) {
-      ctl[w] = e[w] ^ (up_lvl[p - 1][w] & down_lvl[p - 1][w]);
-    }
-  }
-
-  if (faults != nullptr) {
-    // Stuck flag wires first (the switch then computes e XOR v there), then
-    // stuck setting signals — the control is the last wire before the
-    // switch, so it overrides everything upstream.
-    if (!faults->flag_mask.empty()) {
-      BNB_EXPECTS(p >= 2);  // sp(1) has no arbiter flags to freeze
-      BNB_EXPECTS(faults->flag_mask.size() == half_words &&
-                  faults->flag_val.size() == half_words);
-      for (std::size_t w = 0; w < half_words; ++w) {
-        ctl[w] = (ctl[w] & ~faults->flag_mask[w]) |
-                 ((e[w] ^ faults->flag_val[w]) & faults->flag_mask[w]);
-      }
-    }
-    if (!faults->ctl_and.empty()) {
-      BNB_EXPECTS(faults->ctl_and.size() == half_words &&
-                  faults->ctl_or.size() == half_words);
-      for (std::size_t w = 0; w < half_words; ++w) {
-        ctl[w] = (ctl[w] & faults->ctl_and[w]) | faults->ctl_or[w];
-      }
-    }
-  }
-
+  (void)ks_->column_arbiter(bits, n, col.p, faults, ctl, work);
   if (col.update_bits) {
     // Advance the packed bits through the switch column and the U_p^k
-    // unshuffle in one step: exchanged pairs swap their even/odd halves,
-    // then even outputs fill each splitter's upper half, odd its lower.
-    ks_->masked_exchange(e, o, ctl, half_words);
-    ks_->chunk_concat(e, o, pairs, col.group / 2, bits);
+    // unshuffle: exchanged pairs swap, then even outputs fill each
+    // splitter's upper half, odd its lower.
+    ks_->slice_pass(bits, n, ctl, col.group / 2, work);
+    std::copy(work, work + words, bits);
+  }
+}
+
+void CompiledBnb::check_fault_shapes(const ColumnFaultMasks& faults, unsigned p) const {
+  const std::size_t half_words = control_words();
+  if (!faults.bit_flip.empty()) BNB_EXPECTS(faults.bit_flip.size() == bitpack::words_for(inputs()));
+  if (!faults.flag_mask.empty()) {
+    BNB_EXPECTS(p >= 2);  // sp(1) has no arbiter flags to freeze
+    BNB_EXPECTS(faults.flag_mask.size() == half_words && faults.flag_val.size() == half_words);
+  }
+  if (!faults.ctl_and.empty()) {
+    BNB_EXPECTS(faults.ctl_and.size() == half_words && faults.ctl_or.size() == half_words);
   }
 }
 
@@ -374,11 +306,16 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
                                                ControlSchedule* capture) const {
   const std::size_t n = inputs();
   const std::size_t W = s.words_;
-  std::uint64_t* sl = s.slices_.data();  // m address slices, then the parity slice
+  const std::size_t cw = control_words();
+  std::uint64_t* sl = s.slices_.data();  // address slices, parity, drift
   std::uint64_t* sp = s.spare_slices_.data();
-  std::uint64_t* tmp = s.slice_tmp_.data();
   std::uint64_t* state = s.state_.data();
   std::uint64_t* entry = s.entry_.data();
+  const unsigned parity = m_;
+  const unsigned drift = m_ + 1;
+  const auto bit = [](unsigned slice) { return std::uint32_t{1} << slice; };
+  RouteScratch::SolveWork& work = s.work_count_;
+  work = {};
 
   // Only the addresses cross the columns.  They are a bijection, so the
   // address a line delivers names the word that entered with it: keep that
@@ -389,22 +326,27 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
     entry[static_cast<std::uint32_t>(state[j])] = state[j];
   }
   ks_->pack_slices(state, n, m_, sl);
-  std::fill(sl + m_ * W, sl + (m_ + 1) * W, 0);
-  std::fill(sp + m_ * W, sp + (m_ + 1) * W, 0);
-  // An all-zero parity slice is left in place until a column with dead
-  // crosspoints can set it; from then on it travels with the addresses.
-  unsigned moving = m_;
+  std::fill(sl + parity * W, sl + (parity + 1) * W, 0);
+  std::fill(sp + parity * W, sp + (parity + 1) * W, 0);
+  // The slices that move: every address bit at first.  The all-zero parity
+  // joins when a dead crosspoint can set it, the drift when a fault makes
+  // the arbiter's tap differ from the sorting slice; a consumed address
+  // slice leaves once it matches the line-index pattern.
+  std::uint32_t live = bit(m_) - 1;
+  const auto join = [&](unsigned slice) {
+    if ((live & bit(slice)) == 0) std::fill(sl + slice * W, sl + (slice + 1) * W, 0);
+    live |= bit(slice);
+  };
 
+  const unsigned tail_stages = std::min(m_, kTailStages);
   std::size_t col_idx = 0;
-  for (unsigned stage = 0; stage < m_; ++stage) {
+  for (unsigned stage = 0; stage + tail_stages < m_; ++stage) {
     // The slices travel with the lines, so the stage's sorting bit is
-    // already packed: seed the arbiter's working copy from its slice.  The
-    // copy matters — column_controls advances (and faults may invert) its
-    // bits without touching the address slices.
-    const unsigned addr_bit = m_ - 1 - stage;
-    std::copy(sl + addr_bit * W, sl + addr_bit * W + W, s.bits_.data());
-
+    // already packed: the arbiter taps it at the stage entry (plus the
+    // drift once faults make the tap diverge).
     const unsigned k = m_ - stage;
+    const unsigned sort = k - 1;
+    live &= ~bit(drift);
     for (unsigned j = 0; j < k; ++j, ++col_idx) {
       const Column& col = columns_[col_idx];
       const ColumnFaultMasks* fcol =
@@ -412,31 +354,99 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
       std::uint64_t* ctl = capture != nullptr
                                ? capture->ctl_.data() + col_idx * capture->control_words_
                                : s.ctl_.data();
-      column_controls(col_idx, s.bits_.data(), ctl, s.work_.data(), fcol);
+      if (fcol != nullptr) {
+        check_fault_shapes(*fcol, col.p);
+        if (!fcol->bit_flip.empty()) {
+          // Broken bit-slice links into this column: the arbiter's tap sees
+          // the inverted bit from here on, the slices do not.
+          join(drift);
+          for (std::size_t w = 0; w < W; ++w) sl[drift * W + w] ^= fcol->bit_flip[w];
+        }
+      }
+      const std::uint64_t* tap = sl + sort * W;
+      if ((live & bit(drift)) != 0) {
+        for (std::size_t w = 0; w < W; ++w) s.bits_[w] = tap[w] ^ sl[drift * W + w];
+        tap = s.bits_.data();
+      }
+      work.arbiter_levels += ks_->column_arbiter(tap, n, col.p, fcol, ctl, s.work_.data());
       if (trace != nullptr) {
-        trace->column_controls.emplace_back(
-            ctl, ctl + static_cast<std::ptrdiff_t>(control_words()));
+        trace->column_controls.emplace_back(ctl, ctl + static_cast<std::ptrdiff_t>(cw));
       }
       if (fcol != nullptr && !fcol->dead.empty()) {
         // Poison = every ADDRESS bit flipped (dead_crosspoint_poison):
         // bit-sliced, that is bit `line` of each of the m address slices.
         // The parity slice flips with them, so the drain can undo the
-        // poison to find the word's entry address.
+        // poison to find the word's entry address; the drift flips too, so
+        // the tap keeps the value it took at the stage entry.
         visit_dead_crosspoint_hits(*fcol, ctl, [&](std::size_t line) {
+          join(parity);
+          join(drift);
+          live |= bit(m_) - 1;  // a poisoned consumed slice moves again
           const std::size_t w = line >> 6;
-          const std::uint64_t bit = std::uint64_t{1} << (line & 63);
-          for (unsigned a = 0; a <= m_; ++a) sl[a * W + w] ^= bit;
+          const std::uint64_t b = std::uint64_t{1} << (line & 63);
+          for (unsigned a = 0; a <= drift; ++a) sl[a * W + w] ^= b;
         });
-        moving = m_ + 1;
       }
       // The fused column pass — switch exchange under ctl plus the
-      // `group`-line unshuffle — applied to every slice with the SAME
-      // control masks: O(m * N/64) masked word ops instead of O(N) moves.
+      // `group`-line unshuffle — applied to every live slice with the SAME
+      // control masks: O(N/64) masked word ops per slice instead of O(N)
+      // moves.
       const std::size_t chunk = col.group / 2;
-      for (unsigned slice = 0; slice < moving; ++slice) {
-        ks_->slice_pass(sl + slice * W, n, ctl, chunk, tmp, sp + slice * W);
+      for (std::uint32_t rest = live; rest != 0; rest &= rest - 1) {
+        const auto slice = static_cast<unsigned>(std::countr_zero(rest));
+        ks_->slice_pass(sl + slice * W, n, ctl, chunk, sp + slice * W);
       }
+      work.slice_passes += static_cast<unsigned>(std::popcount(live));
       std::swap(sl, sp);
+    }
+    work.columns += k;
+    // The stage consumed address bit `sort`: every later column permutes
+    // lines only inside blocks where that line-index bit is constant, so a
+    // consumed slice equal to the pattern is final.  Copy it once into the
+    // spare buffer and stop moving it.  Only faults leave a mismatch.
+    for (std::uint32_t rest = live & (bit(m_) - bit(sort)); rest != 0; rest &= rest - 1) {
+      const auto slice = static_cast<unsigned>(std::countr_zero(rest));
+      const std::uint64_t* v = sl + slice * W;
+      bool fixed = true;
+      for (std::size_t w = 0; w < W && fixed; ++w) {
+        fixed = v[w] == (((w >> (slice - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0);
+      }
+      if (!fixed) continue;
+      std::copy(v, v + W, sp + slice * W);
+      live &= ~bit(slice);
+    }
+  }
+
+  // The tail: every remaining column acts inside one word, so the kernel
+  // runs them all per word in registers, writing each column's controls.
+  const std::size_t tail_first = col_idx;
+  const std::size_t tail_cols = tail_columns(m_);
+  std::array<const ColumnFaultMasks*, tail_columns(kTailStages)> tail_faults{};
+  bool tail_faulty = false;
+  for (std::size_t c = 0; c < tail_cols; ++c) {
+    tail_faults[c] = faults != nullptr ? faults->column(tail_first + c) : nullptr;
+    if (tail_faults[c] != nullptr) {
+      check_fault_shapes(*tail_faults[c], columns_[tail_first + c].p);
+      tail_faulty = true;
+    }
+  }
+  kernels::TailJob job;
+  job.slices = sl;
+  job.words = W;
+  job.m = m_;
+  job.live = live & ~bit(drift);
+  job.ctl = capture != nullptr ? capture->ctl_.data() + tail_first * capture->control_words_
+                               : s.ctl_.data();
+  job.ctl_stride = cw;
+  job.faults = tail_faulty ? tail_faults.data() : nullptr;
+  ks_->solve_tail(job);
+  work.columns += tail_cols;
+  work.slice_passes += job.slice_words / W;
+  work.arbiter_levels += job.arbiter_levels;
+  if (trace != nullptr) {
+    for (std::size_t c = 0; c < tail_cols; ++c) {
+      const std::uint64_t* ctl = job.ctl + c * cw;
+      trace->column_controls.emplace_back(ctl, ctl + static_cast<std::ptrdiff_t>(cw));
     }
   }
 
@@ -528,7 +538,16 @@ void CompiledBnb::solve(const Permutation& pi, RouteScratch& scratch,
   for (std::size_t j = 0; j < n; ++j) {
     scratch.state_[j] = (std::uint64_t{j} << 32) | address_of[j];
   }
-  (void)route_impl(scratch, nullptr, {}, nullptr, &schedule);
+  schedule.solved_ = false;
+  const std::uint64_t* state = route_sliced(scratch, nullptr, nullptr, &schedule);
+  // The composed effect of the decided settings, read off the delivered
+  // state: the word on each line names the input it entered at.  A solve
+  // delivers nothing, so no output words are built.
+  std::uint32_t* line_of = schedule.line_of_input_.data();
+  for (std::size_t line = 0; line < n; ++line) {
+    line_of[static_cast<std::uint32_t>(state[line] >> 32)] = static_cast<std::uint32_t>(line);
+  }
+  schedule.solved_ = true;
 }
 
 CompiledBnb::Output CompiledBnb::apply(const ControlSchedule& schedule,

@@ -8,17 +8,22 @@
 //
 //   * one address bit per line, packed 64 lines per uint64_t;
 //   * the tree arbiter of every splitter of a column evaluated word-
-//     parallel (compress/interleave passes over packed words), emitting the
-//     switch controls of the whole column as mask words;
+//     parallel: every tree level inside a 64-line word is one SWAR step
+//     over the word, the levels above run the same loop over per-word
+//     parities, emitting the switch controls of the whole column as mask
+//     words;
 //   * the lines carried BIT-SLICED, as in the paper's q-slice nested
 //     networks: the stage's sorting slice sets the switches and the other
-//     slices follow.  Only the m address slices cross the columns, each
-//     moved as packed words by one fused exchange+unshuffle pass per
-//     column — O(N*m/64) masked word operations per column instead of O(N)
-//     word moves.  The addresses are a bijection, so each delivered address
-//     names its input through the inverse permutation; one extra parity
-//     slice records dead-crosspoint poison so faulty routes keep the same
-//     slice layout;
+//     slices follow.  Only the address slices a box still sorts on cross
+//     its columns (Eq. 3's log P slices, so Eq. 6's (N/6) log^3 N slice
+//     passes per solve): a consumed slice that matches the line-index
+//     pattern at the end of its main stage stops moving.  The addresses
+//     are a bijection, so each delivered address names its input through
+//     the inverse permutation; one extra parity slice records
+//     dead-crosspoint poison so faulty routes keep the same slice layout;
+//   * once a main stage's boxes fit in one word (the last min(m, 6)
+//     stages), every remaining column acts inside a word: they run as one
+//     fused register pass per word (KernelSet::solve_tail);
 //   * a caller-owned RouteScratch so the steady state performs ZERO heap
 //     allocations (first use of a scratch sizes its buffers).
 //
@@ -163,6 +168,16 @@ class RouteScratch {
   [[nodiscard]] ControlSchedule& schedule_slot() noexcept { return schedule_; }
   [[nodiscard]] const ControlSchedule& schedule_slot() const noexcept { return schedule_; }
 
+  /// The work the last route or solve through this scratch executed, as
+  /// counted by the datapath loop itself (tests pin a clean solve to the
+  /// paper's Eqs. 6-8).
+  struct SolveWork {
+    std::uint64_t columns = 0;         ///< splitter columns evaluated (Eq. 7)
+    std::uint64_t slice_passes = 0;    ///< whole-slice column passes (Eq. 6 / (N/2))
+    std::uint64_t arbiter_levels = 0;  ///< arbiter levels summed over columns (Eq. 8)
+  };
+  [[nodiscard]] const SolveWork& last_solve_work() const noexcept { return work_count_; }
+
  private:
   friend class CompiledBnb;
   unsigned m_ = 0;      ///< 0 = unprepared
@@ -171,18 +186,20 @@ class RouteScratch {
 
   std::vector<std::uint64_t> state_;   ///< per line: input index << 32 | address
   std::vector<std::uint64_t> entry_;   ///< entry word (as state_) by address
-  std::vector<std::uint64_t> bits_;    ///< packed current address bit per line
-  std::vector<std::uint64_t> ctl_;     ///< packed controls of the current column
-  std::vector<std::uint64_t> work_;    ///< arbiter up/down levels + temporaries
-  std::vector<std::uint64_t> slices_;  ///< q = m + 1 bit-slices (m address
-                                       ///< bits, then the dead-crosspoint
-                                       ///< poison parity), slice s at
-                                       ///< [s * words_, ...)
+  std::vector<std::uint64_t> bits_;    ///< packed arbiter tap (faulty routes)
+  std::vector<std::uint64_t> ctl_;     ///< packed controls of the current
+                                       ///< column, or of every tail column
+  std::vector<std::uint64_t> work_;    ///< arbiter levels above 64 lines
+  std::vector<std::uint64_t> slices_;  ///< m + 2 bit-slices (m address
+                                       ///< bits, the dead-crosspoint poison
+                                       ///< parity, then the arbiter tap's
+                                       ///< drift from the sorting slice),
+                                       ///< slice s at [s * words_, ...)
   std::vector<std::uint64_t> spare_slices_;  ///< double buffer for slices_
-  std::vector<std::uint64_t> slice_tmp_;     ///< slice_pass staging scratch
   std::vector<Word> outputs_;
   std::vector<std::uint32_t> dest_;
   ControlSchedule schedule_;  ///< route() = solve into here + apply
+  SolveWork work_count_;
 };
 
 /// Routed batch: destinations flattened permutation-major.
@@ -423,10 +440,14 @@ class CompiledBnb {
                                   std::span<const Word> payload_source,
                                   const EngineFaults* faults,
                                   ControlSchedule* capture = nullptr) const;
-  /// The bit-sliced datapath: moves the m address slices (plus the poison
-  /// parity) through every column and returns the delivered line state
-  /// (state_).  A non-null `capture` receives every column's packed
-  /// controls (flat, allocation-free) as they are decided.
+  /// Contract checks on one column's overlay: every mask array is empty or
+  /// the column's packed width; stuck flags only where an arbiter exists.
+  void check_fault_shapes(const ColumnFaultMasks& faults, unsigned p) const;
+  /// The bit-sliced datapath: moves the live address slices (plus the
+  /// poison parity once a dead crosspoint hits) through every column and
+  /// returns the delivered line state (state_).  A non-null `capture`
+  /// receives every column's packed controls (flat, allocation-free) as
+  /// they are decided.
   [[nodiscard]] const std::uint64_t* route_sliced(RouteScratch& scratch,
                                                   ControlTrace* trace,
                                                   const EngineFaults* faults,

@@ -1,19 +1,23 @@
 // Runtime-dispatched kernel layer for the compiled routing engine.
 //
-// Every hot word-parallel pass of CompiledBnb — the arbiter's compress and
-// interleave passes, the masked switch exchange, the unshuffle wiring, the
-// fused column pass of the bit-sliced datapath (the m address slices plus
-// one poison-parity slice moved as packed words), and the slice fill and
-// drain around it — and the clean-delivery proof in front of the
-// DeliveryAudit classifier are reached through a KernelSet of function
-// pointers.  Every tier drives the same datapath; one set per
-// implementation tier:
+// Every hot word-parallel pass of CompiledBnb — a column's tree arbiters
+// (one in-word SWAR loop per 64-line word), the fused column pass of the
+// bit-sliced datapath (the switch exchange plus the unshuffle wiring, one
+// packed address slice at a time), the fused register pass over the
+// columns whose boxes fit in one word, and the slice fill and drain around
+// them — and the clean-delivery proof in front of the DeliveryAudit
+// classifier are reached through a KernelSet of function pointers.  Every
+// tier drives the same datapath; one set per implementation tier:
 //
 //   scalar   portable 64-bit words (PEXT/PDEP when compiled with BMI2) — the
 //            reference every other tier is tested against bit for bit;
 //   avx2     256-bit kernels (4 words per step);
 //   avx512   512-bit kernels (8 words per step, masked tails);
 //   neon     128-bit kernels on aarch64.
+//
+// The arbiter and the tail pass are one implementation (solve_core.hpp)
+// written over a lane type and compiled into every tier's translation
+// unit: one word per step on scalar, 4 on avx2, 8 on avx512.
 //
 // The active set is chosen ONCE at first use: CPUID (and, on x86, XGETBV
 // state checks) picks the best tier the host can execute, and the
@@ -24,10 +28,10 @@
 // does exactly that via the explicit-set constructor).
 //
 // Contract shared by every implementation of a pass (and enforced
-// bit-for-bit by tests/test_kernels.cpp against core/bit_pack.hpp):
-// little-endian bit order (bit t of word w is line 64*w + t) and the
-// zero-tail invariant — bits at positions >= the logical size are zero on
-// input and on output, so passes chain without masking.
+// bit-for-bit by tests/test_kernels.cpp): little-endian bit order (bit t of
+// word w is line 64*w + t) and the zero-tail invariant — bits at positions
+// >= the logical size are zero on input and on output, so passes chain
+// without masking.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +40,8 @@
 #include <string_view>
 
 namespace bnb {
-struct Word;  // core/bnb_network.hpp: {uint32 address, 4 padding bytes, uint64 payload}
+struct Word;              // core/bnb_network.hpp: {uint32 address, 4 padding bytes, uint64 payload}
+struct ColumnFaultMasks;  // core/fault_hooks.hpp: one column's fault overlay
 }  // namespace bnb
 
 namespace bnb::kernels {
@@ -46,6 +51,35 @@ enum class Tier : std::uint8_t { kScalar, kAvx2, kAvx512, kNeon };
 /// Human-readable tier name ("scalar", "avx2", "avx512", "neon").
 [[nodiscard]] const char* tier_name(Tier tier) noexcept;
 
+/// The in/out record of KernelSet::solve_tail.  Once a main stage's boxes
+/// fit in one word, every remaining column permutes lines inside a word, so
+/// each word of the slices runs the rest of the network on its own: per
+/// column the in-word arbiter on the stage's sorting slice, then the
+/// exchange + unshuffle of every slice still moving.  A consumed address
+/// slice that matches the line-index pattern at the end of its stage stops
+/// moving (every later column is the identity on it).
+struct TailJob {
+  /// Slice s of the datapath at slices + s * words, updated in place:
+  /// m address slices, then the poison parity (slice m).  Slices outside
+  /// `live` hold their final value already (frozen consumed slices, the
+  /// all-zero parity until a dead crosspoint hits).
+  std::uint64_t* slices = nullptr;
+  std::size_t words = 0;  ///< words_for(2^m)
+  unsigned m = 0;
+  std::uint32_t live = 0;  ///< bit s: slice s moves on entry
+  /// Tail column c's packed controls land at ctl + c * ctl_stride.
+  std::uint64_t* ctl = nullptr;
+  std::size_t ctl_stride = 0;
+  /// Per tail column, that column's faults (nullptr = clean column); the
+  /// whole array is nullptr for a clean route.  Every overlay is word-local
+  /// and applied inside the pass, with the same semantics as the columns
+  /// before the tail.
+  const ColumnFaultMasks* const* faults = nullptr;
+  // Outputs: the work the pass executed.
+  std::uint64_t slice_words = 0;     ///< slice words moved (passes x words)
+  std::uint64_t arbiter_levels = 0;  ///< Eq. 8 levels, summed over columns
+};
+
 /// One dispatchable implementation of the engine's word-parallel passes.
 /// All sizes follow core/bit_pack.hpp: `nbits` logical bits, arrays of
 /// bitpack::words_for(nbits) words, zeroed tails in and out.
@@ -53,39 +87,33 @@ struct KernelSet {
   const char* name;  ///< tier_name(tier); also the BNB_KERNELS spelling
   Tier tier;
 
-  /// out[j] = in[2j] for j < nbits/2.
-  void (*compress_even)(const std::uint64_t* in, std::size_t nbits,
-                        std::uint64_t* out);
-  /// out[j] = in[2j+1] for j < nbits/2.
-  void (*compress_odd)(const std::uint64_t* in, std::size_t nbits,
-                       std::uint64_t* out);
-  /// out[j] = in[2j] ^ in[2j+1]: one arbiter up-pass level.
-  void (*pair_xor_compress)(const std::uint64_t* in, std::size_t nbits,
-                            std::uint64_t* out);
-  /// out[2j] = a[j], out[2j+1] = b[j]: one arbiter down-pass level.
-  void (*interleave_bits)(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t nbits_each, std::uint64_t* out);
-  /// Unshuffle wiring: output group g (2*chunk_bits lines) = even's chunk g
-  /// then odd's chunk g.  chunk_bits is a power of two.
-  void (*chunk_concat)(const std::uint64_t* even, const std::uint64_t* odd,
-                       std::size_t nbits_each, std::size_t chunk_bits,
-                       std::uint64_t* out);
-  /// Switch exchange on compressed halves: t = (e^o) & ctl; e ^= t; o ^= t.
-  void (*masked_exchange)(std::uint64_t* e, std::uint64_t* o,
-                          const std::uint64_t* ctl, std::size_t words);
-  /// dst[w] ^= src[w] (fault bit-flip overlays).
-  void (*xor_words)(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t words);
+  /// The switch controls of one column of sp(p) splitters (1 <= p <=
+  /// log2 nbits) from the packed sorting bits `bits` (nbits lines), written
+  /// to ctl (words_for(nbits / 2) words, bit t = switch t).  Every tree
+  /// level inside a 64-line word runs as one SWAR register loop per word;
+  /// the levels above 64 lines run the same loop over packed per-word
+  /// parities.  A non-null `faults` patches the controls word by word
+  /// (stuck flags, then stuck controls); its bit_flip and dead crosspoints
+  /// are the caller's.  `work` holds 4 * words_for(words_for(nbits)) + 16
+  /// words.  Returns the arbiter levels evaluated (Eq. 8's unit): 2p, or 0
+  /// for the arbiter-free sp(1).
+  unsigned (*column_arbiter)(const std::uint64_t* bits, std::size_t nbits, unsigned p,
+                             const ColumnFaultMasks* faults, std::uint64_t* ctl,
+                             std::uint64_t* work);
   /// Fused datapath column pass for ONE packed slice: switch exchange
-  /// under `ctl` followed by the chunk_bits unshuffle, i.e. exactly
-  ///   compress_even(in) / compress_odd(in) -> masked_exchange -> chunk_concat
-  /// in one sweep.  Requires nbits a multiple of 2*chunk_bits (every
-  /// CompiledBnb column satisfies this: group divides N).  `tmp` provides
-  /// words_for(nbits) words of scratch for implementations that stage the
-  /// compressed halves; in and out must not alias.
+  /// under `ctl` (pair t = lines 2t, 2t+1 swap when bit t is set) followed
+  /// by the chunk_bits unshuffle (within every 2*chunk_bits-line group the
+  /// even outputs fill the first chunk, the odd outputs the second) — the
+  /// packed form of apply_column_to_lines with group 2*chunk_bits.
+  /// Requires nbits a multiple of 2*chunk_bits (every CompiledBnb column
+  /// satisfies this: group divides N); in and out must not alias.
   void (*slice_pass)(const std::uint64_t* in, std::size_t nbits,
                      const std::uint64_t* ctl, std::size_t chunk_bits,
-                     std::uint64_t* tmp, std::uint64_t* out);
+                     std::uint64_t* out);
+  /// The fused tail of a solve: every column of the main stages whose boxes
+  /// span <= 64 lines (the last min(m, 6) stages, all of them when m <= 6)
+  /// as one register pass per word — see TailJob.
+  void (*solve_tail)(TailJob& job);
   /// Fill the datapath: gather bit a of each of the n line values
   /// into packed slice a, for a < bits (bits < 32): bit t of
   /// slices[a * words_for(n) + w] is bit a of values[64w + t].  Lines past

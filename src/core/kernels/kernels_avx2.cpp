@@ -1,10 +1,10 @@
-// AVX2 kernel tier: 4 packed words per step for the data-movement passes
-// (masked exchange, interleave, unshuffle, the fused bit-slice column
-// pass), scalar PEXT for the half-width compress passes where a single
-// BMI2 instruction per word beats the 17-operation vector magic-mask
-// network.  Compiled with -mavx2 -mbmi2 only for this translation unit;
-// kernel_set.cpp gates execution behind a runtime CPUID/XGETBV check, so
-// linking this TU into a portable binary is safe.
+// AVX2 kernel tier: 4 packed words per step for the in-word fused
+// bit-slice column pass, the arbiter, the fused tail, the slice fill and
+// the small-schedule replay; scalar PEXT (BMI2) for the whole-word column
+// pass, where a single BMI2 instruction per word beats the 17-operation
+// vector magic-mask network.  Compiled with -mavx2 -mbmi2 only for this
+// translation unit; kernel_set.cpp gates execution behind a runtime
+// CPUID/XGETBV check, so linking this TU into a portable binary is safe.
 //
 // Bit arithmetic mirrors core/bit_pack.hpp lane-for-lane: compress is the
 // magic-mask network, spread its mirror image, and tails that do not fill
@@ -17,6 +17,7 @@
 #include "core/bnb_network.hpp"  // Word
 #include "core/kernels/kernel_impl.hpp"
 #include "core/kernels/scalar_core.hpp"
+#include "core/kernels/solve_core.hpp"
 
 namespace bnb::kernels {
 namespace {
@@ -68,95 +69,19 @@ inline __m256i spread_chunks_lanes(__m256i x, unsigned chunk) {
   return x;
 }
 
-/// Lanes [w.lo32, w.hi32, (w+1).lo32, (w+1).hi32] of the low (sel=0) or
-/// high (sel=1) half of `v`, each zero-extended to 64 bits.
-template <int Sel>
-inline __m256i halves_as_lanes(__m256i v) {
-  const __m256i idx = Sel == 0 ? _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3)
-                               : _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7);
-  return _mm256_and_si256(_mm256_permutevar8x32_epi32(v, idx),
-                          bcast(0x00000000FFFFFFFFULL));
+// The column arbiter and the fused tail: the shared implementation
+// (solve_core.hpp) on 4-word lanes, which beat single BMI2 words here
+// (m = 12 solve about 0.7x of the one-word lanes on a 4-vCPU Xeon).
+unsigned column_arbiter_k(const std::uint64_t* bits, std::size_t nbits, unsigned p,
+                          const ColumnFaultMasks* faults, std::uint64_t* ctl,
+                          std::uint64_t* work) {
+  return detail::column_arbiter<detail::u64x4>(bits, nbits, p, faults, ctl, work);
 }
 
-void masked_exchange_k(std::uint64_t* e, std::uint64_t* o, const std::uint64_t* ctl,
-                       std::size_t words) {
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i ev = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + w));
-    const __m256i ov = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o + w));
-    const __m256i cv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ctl + w));
-    const __m256i t = _mm256_and_si256(_mm256_xor_si256(ev, ov), cv);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(e + w), _mm256_xor_si256(ev, t));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + w), _mm256_xor_si256(ov, t));
-  }
-  for (; w < words; ++w) {
-    const std::uint64_t t = (e[w] ^ o[w]) & ctl[w];
-    e[w] ^= t;
-    o[w] ^= t;
-  }
-}
-
-void xor_words_k(std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), _mm256_xor_si256(d, s));
-  }
-  for (; w < words; ++w) dst[w] ^= src[w];
-}
-
-/// Shared body of interleave_bits (chunk = 1) and chunk_concat (chunk < 64):
-/// out[2i] / out[2i+1] interleave the low / high halves of a[i] and b[i].
-void interleave_chunks_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t nbits_each, unsigned chunk,
-                            std::uint64_t* out) {
-  const std::size_t in_words = bitpack::words_for(nbits_each);
-  const std::size_t out_words = bitpack::words_for(2 * nbits_each);
-  std::size_t i = 0;
-  // 2 input words -> 4 whole output words per step.
-  for (; 2 * i + 4 <= out_words && i + 2 <= in_words; i += 2) {
-    const __m256i av = _mm256_castsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i bv = _mm256_castsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    const __m256i xa = halves_as_lanes<0>(av);
-    const __m256i xb = halves_as_lanes<0>(bv);
-    const __m256i res = _mm256_or_si256(
-        spread_chunks_lanes(xa, chunk),
-        _mm256_slli_epi64(spread_chunks_lanes(xb, chunk),
-                          static_cast<int>(chunk)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 2 * i), res);
-  }
-  for (; i < in_words; ++i) {
-    const std::uint64_t aw = a[i];
-    const std::uint64_t bw = b[i];
-    out[2 * i] = bitpack::interleave_chunks64(aw & 0xFFFFFFFFULL,
-                                              bw & 0xFFFFFFFFULL, chunk);
-    if (2 * i + 1 < out_words) {
-      out[2 * i + 1] = bitpack::interleave_chunks64(aw >> 32, bw >> 32, chunk);
-    }
-  }
-}
-
-void interleave_bits_k(const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t nbits_each, std::uint64_t* out) {
-  interleave_chunks_avx2(a, b, nbits_each, 1, out);
-}
-
-void chunk_concat_k(const std::uint64_t* even, const std::uint64_t* odd,
-                    std::size_t nbits_each, std::size_t chunk_bits,
-                    std::uint64_t* out) {
-  if (chunk_bits >= 64) {
-    bitpack::chunk_concat(even, odd, nbits_each, chunk_bits, out);  // word runs
-    return;
-  }
-  interleave_chunks_avx2(even, odd, nbits_each,
-                         static_cast<unsigned>(chunk_bits), out);
-}
+void solve_tail_k(TailJob& job) { detail::solve_tail<detail::u64x4>(job); }
 
 void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_t* ctl,
-                  std::size_t chunk_bits, std::uint64_t* tmp, std::uint64_t* out) {
+                  std::size_t chunk_bits, std::uint64_t* out) {
   if (chunk_bits <= 32) {
     // Lane-local: word w's pairs are ctl's 32-bit half-word w, so the whole
     // exchange+unshuffle stays inside each 64-bit lane.
@@ -182,15 +107,9 @@ void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_
     detail::slice_pass_small_scalar(in, w, words, ctl, chunk, out);
     return;
   }
-  // Whole-word chunks: stage the compressed halves in tmp (PEXT compress +
-  // vector exchange), then lay the runs out; the copies are memory-bound.
-  const std::size_t half_words = bitpack::words_for(nbits / 2);
-  std::uint64_t* e = tmp;
-  std::uint64_t* o = tmp + half_words;
-  bitpack::compress_even(in, nbits, e);
-  bitpack::compress_odd(in, nbits, o);
-  masked_exchange_k(e, o, ctl, half_words);
-  bitpack::chunk_concat(e, o, nbits / 2, chunk_bits, out);
+  // Whole-word chunks: the scalar PEXT loop (scalar_core.hpp) writes each
+  // compressed half straight into its run.
+  detail::slice_pass_runs_scalar(in, 0, nbits / 128, ctl, chunk_bits / 64, out);
 }
 
 // Slice fill: per 64-line block the low dwords of the values narrow into 8
@@ -288,15 +207,9 @@ bool delivery_clean_k(const std::uint32_t* requested, const Word* outputs, std::
 namespace detail {
 const KernelSet kAvx2Set{"avx2",
                          Tier::kAvx2,
-                         // PEXT wins for the half-width compress passes.
-                         kScalarSet.compress_even,
-                         kScalarSet.compress_odd,
-                         kScalarSet.pair_xor_compress,
-                         &interleave_bits_k,
-                         &chunk_concat_k,
-                         &masked_exchange_k,
-                         &xor_words_k,
+                         &column_arbiter_k,
                          &slice_pass_k,
+                         &solve_tail_k,
                          &pack_slices_k,
                          kScalarSet.unpack_slices,
                          &small_apply8_k,

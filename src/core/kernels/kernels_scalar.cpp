@@ -1,56 +1,32 @@
-// Scalar kernel tier: the portable 64-bit reference implementations from
-// core/bit_pack.hpp (single PEXT instructions when compiled with BMI2),
-// exported as the `scalar` set that drives the bit-sliced datapath on every
-// host.  Every SIMD tier is tested bit-for-bit against these.
+// Scalar kernel tier: the portable 64-bit reference implementations built
+// on core/bit_pack.hpp's word primitives (single PEXT/PDEP instructions
+// when compiled with BMI2), exported as the `scalar` set that drives the
+// bit-sliced datapath on every host.  Every SIMD tier is tested
+// bit-for-bit against these.
 #include "core/bit_pack.hpp"
 #include "core/kernels/kernel_impl.hpp"
 #include "core/kernels/scalar_core.hpp"
+#include "core/kernels/solve_core.hpp"
 
 namespace bnb::kernels {
 namespace {
 
-void compress_even_k(const std::uint64_t* in, std::size_t nbits, std::uint64_t* out) {
-  bitpack::compress_even(in, nbits, out);
+// The column arbiter and the fused tail: the shared implementation
+// (solve_core.hpp) on single words, compiled here without BMI2.
+unsigned column_arbiter_k(const std::uint64_t* bits, std::size_t nbits, unsigned p,
+                          const ColumnFaultMasks* faults, std::uint64_t* ctl,
+                          std::uint64_t* work) {
+  return detail::column_arbiter<std::uint64_t>(bits, nbits, p, faults, ctl, work);
 }
 
-void compress_odd_k(const std::uint64_t* in, std::size_t nbits, std::uint64_t* out) {
-  bitpack::compress_odd(in, nbits, out);
-}
-
-void pair_xor_compress_k(const std::uint64_t* in, std::size_t nbits, std::uint64_t* out) {
-  bitpack::pair_xor_compress(in, nbits, out);
-}
-
-void interleave_bits_k(const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t nbits_each, std::uint64_t* out) {
-  bitpack::interleave_bits(a, b, nbits_each, out);
-}
-
-void chunk_concat_k(const std::uint64_t* even, const std::uint64_t* odd,
-                    std::size_t nbits_each, std::size_t chunk_bits,
-                    std::uint64_t* out) {
-  bitpack::chunk_concat(even, odd, nbits_each, chunk_bits, out);
-}
-
-void masked_exchange_k(std::uint64_t* e, std::uint64_t* o, const std::uint64_t* ctl,
-                       std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t t = (e[w] ^ o[w]) & ctl[w];
-    e[w] ^= t;
-    o[w] ^= t;
-  }
-}
-
-void xor_words_k(std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) dst[w] ^= src[w];
-}
+void solve_tail_k(TailJob& job) { detail::solve_tail<std::uint64_t>(job); }
 
 // Fused column pass for one packed slice: exchange + unshuffle without
 // materializing the compressed halves.  Both shapes keep every output word
 // a pure function of one or two input words plus its ctl bits; the loops
 // live in scalar_core.hpp because the SIMD tiers reuse them for tails.
 void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_t* ctl,
-                  std::size_t chunk_bits, std::uint64_t* /*tmp*/, std::uint64_t* out) {
+                  std::size_t chunk_bits, std::uint64_t* out) {
   if (chunk_bits <= 32) {
     // Groups fit in a word: out[w] depends on in[w] and ctl half-word w.
     detail::slice_pass_small_scalar(in, 0, bitpack::words_for(nbits), ctl,
@@ -102,14 +78,9 @@ bool delivery_clean_k(const std::uint32_t* requested, const Word* outputs, std::
 namespace detail {
 const KernelSet kScalarSet{"scalar",
                            Tier::kScalar,
-                           &compress_even_k,
-                           &compress_odd_k,
-                           &pair_xor_compress_k,
-                           &interleave_bits_k,
-                           &chunk_concat_k,
-                           &masked_exchange_k,
-                           &xor_words_k,
+                           &column_arbiter_k,
                            &slice_pass_k,
+                           &solve_tail_k,
                            &pack_slices_k,
                            &unpack_slices_k,
                            &small_apply8_k,

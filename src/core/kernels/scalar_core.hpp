@@ -44,10 +44,10 @@ inline void slice_pass_runs_scalar(const std::uint64_t* in, std::size_t i_begin,
     const std::uint64_t t = (e ^ o) & ctl[i];
     e ^= t;
     o ^= t;
-    const std::size_t g = i / run;
-    const std::size_t r = i % run;
-    out[g * 2 * run + r] = e;
-    out[g * 2 * run + run + r] = o;
+    // run is a power of two: word i's run starts at 2 * (i - i % run).
+    const std::size_t at = 2 * i - (i & (run - 1));
+    out[at] = e;
+    out[at + run] = o;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "core/bit_pack.hpp"
 #include "core/bnb_network.hpp"
 #include "core/compiled_bnb.hpp"
+#include "core/complexity.hpp"
 #include "core/kernels/kernel_set.hpp"
 #include "core/schedule_cache.hpp"
 #include "core/splitter.hpp"
@@ -371,6 +372,33 @@ TEST(CompiledBnb, ColumnTableShape) {
         EXPECT_EQ(cols[idx].group, i + 1 < m ? 1U << (m - i) : 2U);
       }
     }
+  }
+}
+
+TEST(CompiledBnb, SolveWorkIsThePapersCost) {
+  // The work the datapath loop itself counts on a clean solve, pinned to
+  // the paper's closed forms: every column moves only the address slices
+  // its box still sorts on (Eq. 3's log P slices of N/2 switches each, so
+  // Eq. 6's square pyramid overall), the network has Eq. 7's columns, and
+  // the arbiters evaluate Eq. 8's levels.  A route counts the same.
+  Rng rng(0x5EC6);
+  for (unsigned m = 1; m <= 14; ++m) {
+    const std::uint64_t n = std::uint64_t{1} << m;
+    const CompiledBnb engine(m);
+    RouteScratch scratch;
+    ControlSchedule schedule;
+    const Permutation pi = random_perm(n, rng);
+    engine.solve(pi, scratch, schedule);
+    const RouteScratch::SolveWork solved = scratch.last_solve_work();
+    EXPECT_EQ(solved.slice_passes * (n / 2), model::bnb_cost_exact(n, 0).sw) << "m=" << m;
+    EXPECT_EQ(solved.columns, model::bnb_delay_sw_units(n)) << "m=" << m;
+    EXPECT_EQ(solved.arbiter_levels, model::bnb_delay_fn_units(n)) << "m=" << m;
+
+    (void)engine.route(pi, scratch);
+    const RouteScratch::SolveWork routed = scratch.last_solve_work();
+    EXPECT_EQ(routed.slice_passes, solved.slice_passes) << "m=" << m;
+    EXPECT_EQ(routed.columns, solved.columns) << "m=" << m;
+    EXPECT_EQ(routed.arbiter_levels, solved.arbiter_levels) << "m=" << m;
   }
 }
 

@@ -1,20 +1,22 @@
 // Kernel-equivalence suite: every kernel tier this build can run on this
-// host must be BIT-IDENTICAL to the scalar reference — on the raw packed
-// primitives over randomized zero-tail arrays (1..4096 bits), on the fused
-// slice_pass against its three-pass composition, on the slice fill and
-// drain (pack/unpack_slices, 1..2^14 lines), on the clean-delivery proof
-// (delivery_clean, every single corruption, m = 1..14).  Full routes and
-// route_words on every tier must equal the behavioral BnbNetwork
-// (exhaustive for m <= 3, randomized up to m = 12, every single fault at
-// m = 4, a 12-fault campaign at m = 6), and their ControlTrace capture
-// must equal the scalar plan's.  A SIMD lane bug that survives this file
-// does not exist.
+// host must be BIT-IDENTICAL to the reference — the column arbiter against
+// the paper's splitter model (m = 1..14, every p), the fused tail against
+// the same columns run one at a time, slice_pass against
+// apply_column_to_lines, the slice fill and drain (pack/unpack_slices,
+// 1..2^14 lines), and the clean-delivery proof (delivery_clean, every
+// single corruption, m = 1..14).  Full routes and route_words on every
+// tier must equal the behavioral BnbNetwork (exhaustive for m <= 3,
+// randomized up to m = 14, every single fault at m = 4, a 12-fault
+// campaign at m = 6, and campaigns straddling the fused tail at m = 8 and
+// 10), and their ControlTrace capture must equal the scalar plan's.  A
+// SIMD lane bug that survives this file does not exist.
 //
 // The tier list is discovered at runtime (kernels::supported_kernel_sets),
 // so the same test binary checks scalar everywhere, avx2/avx512 on x86
 // hosts that have them, and neon on aarch64.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include "core/bnb_network.hpp"
 #include "core/compiled_bnb.hpp"
 #include "core/kernels/kernel_set.hpp"
+#include "core/splitter.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/injection.hpp"
 #include "perm/generators.hpp"
@@ -43,18 +46,6 @@ std::vector<std::uint64_t> random_packed(std::size_t nbits, Rng& rng) {
     words.back() &= (std::uint64_t{1} << (nbits % 64)) - 1;  // zero tail
   }
   return words;
-}
-
-/// The sweep of logical sizes: every size up to 300 bits (all word-boundary
-/// and tail shapes), then a spread of larger ones up to 4096.
-std::vector<std::size_t> size_sweep() {
-  std::vector<std::size_t> sizes;
-  for (std::size_t n = 1; n <= 300; ++n) sizes.push_back(n);
-  for (std::size_t n : {320UL, 384UL, 511UL, 512UL, 513UL, 777UL, 1024UL,
-                        2000UL, 2048UL, 3333UL, 4095UL, 4096UL}) {
-    sizes.push_back(n);
-  }
-  return sizes;
 }
 
 // ---- registry and dispatch --------------------------------------------
@@ -109,95 +100,134 @@ TEST(Kernels, EnvOverrideParsing) {
 
 // ---- primitive equivalence --------------------------------------------
 
-TEST(Kernels, CompressPassesMatchScalarOnRandomizedArrays) {
+std::vector<std::uint8_t> unpack_bits(const std::vector<std::uint64_t>& words, std::size_t n) {
+  std::vector<std::uint8_t> bits(n);
+  for (std::size_t t = 0; t < n; ++t) bits[t] = static_cast<std::uint8_t>(bitpack::get_bit(words.data(), t));
+  return bits;
+}
+
+TEST(Kernels, ColumnArbiterMatchesBehavioralSplitters) {
+  // The in-word SWAR arbiter (and, for p > 6, the same loop over per-word
+  // parities) against the paper's splitter model, splitter by splitter, on
+  // random bit slices — unbalanced ones too, as faulty routes feed them.
+  // The level count each call reports is Eq. 8's per-splitter delay.
   Rng rng(0xC0DE01);
-  const auto& ref = kernels::scalar_kernels();
-  for (const std::size_t nbits : size_sweep()) {
-    const auto in = random_packed(nbits, rng);
-    const std::size_t out_words = bitpack::words_for(nbits / 2);
-    std::vector<std::uint64_t> expect_e(out_words + 1), expect_o(out_words + 1),
-        expect_x(out_words + 1), got(out_words + 1);
-    ref.compress_even(in.data(), nbits, expect_e.data());
-    ref.compress_odd(in.data(), nbits, expect_o.data());
-    ref.pair_xor_compress(in.data(), nbits, expect_x.data());
-    for (const KernelSet* set : kernels::supported_kernel_sets()) {
-      set->compress_even(in.data(), nbits, got.data());
-      ASSERT_TRUE(std::equal(got.begin(), got.begin() + out_words, expect_e.begin()))
-          << set->name << " compress_even nbits=" << nbits;
-      set->compress_odd(in.data(), nbits, got.data());
-      ASSERT_TRUE(std::equal(got.begin(), got.begin() + out_words, expect_o.begin()))
-          << set->name << " compress_odd nbits=" << nbits;
-      set->pair_xor_compress(in.data(), nbits, got.data());
-      ASSERT_TRUE(std::equal(got.begin(), got.begin() + out_words, expect_x.begin()))
-          << set->name << " pair_xor_compress nbits=" << nbits;
+  const SplitterFaults relaxed;  // empty overlay: relaxes the balance precondition
+  for (unsigned m = 1; m <= 14; ++m) {
+    const std::size_t n = std::size_t{1} << m;
+    const CompiledBnb plan(m, &kernels::scalar_kernels());
+    std::vector<std::uint64_t> work(plan.work_words());
+    for (unsigned p = 1; p <= m; ++p) {
+      const auto in = random_packed(n, rng);
+      const std::vector<std::uint8_t> bits = unpack_bits(in, n);
+      const Splitter splitter(p);
+      std::vector<std::uint8_t> expect;
+      for (std::size_t base = 0; base < n; base += splitter.inputs()) {
+        const auto r = splitter.route(
+            std::span<const std::uint8_t>(bits).subspan(base, splitter.inputs()), &relaxed);
+        expect.insert(expect.end(), r.controls.begin(), r.controls.end());
+      }
+      for (const KernelSet* set : kernels::supported_kernel_sets()) {
+        std::vector<std::uint64_t> ctl(plan.control_words(), ~std::uint64_t{0});
+        const unsigned levels =
+            set->column_arbiter(in.data(), n, p, nullptr, ctl.data(), work.data());
+        ASSERT_EQ(levels, splitter.arbiter_delay_fn_units()) << set->name << " p=" << p;
+        ASSERT_EQ(unpack_bits(ctl, n / 2), expect) << set->name << " m=" << m << " p=" << p;
+        if (n / 2 < 64) ASSERT_EQ(ctl[0] >> (n / 2), 0U) << set->name << " zero tail";
+      }
     }
   }
 }
 
-TEST(Kernels, MovementPassesMatchScalarOnRandomizedArrays) {
+TEST(Kernels, SolveTailMatchesColumnByColumnPasses) {
+  // The fused tail against the same columns run one at a time through the
+  // scalar column_arbiter and slice_pass with every slice moving: slices
+  // and every column's controls must agree, so freezing a consumed slice
+  // is exact.  Each 64-line word starts as a random permutation of its
+  // lines (the state a clean route reaches at the tail), with the address
+  // bits above 6 set to the line pattern.
   Rng rng(0xC0DE02);
-  const auto& ref = kernels::scalar_kernels();
-  for (const std::size_t nbits : size_sweep()) {
-    const auto a = random_packed(nbits, rng);
-    const auto b = random_packed(nbits, rng);
-    const std::size_t words = bitpack::words_for(nbits);
-    const std::size_t out_words = bitpack::words_for(2 * nbits);
-    std::vector<std::uint64_t> expect(out_words + 1), got(out_words + 1);
-
-    ref.interleave_bits(a.data(), b.data(), nbits, expect.data());
-    for (const KernelSet* set : kernels::supported_kernel_sets()) {
-      set->interleave_bits(a.data(), b.data(), nbits, got.data());
-      ASSERT_TRUE(std::equal(got.begin(), got.begin() + out_words, expect.begin()))
-          << set->name << " interleave_bits nbits=" << nbits;
+  const KernelSet& ref = kernels::scalar_kernels();
+  for (unsigned m = 1; m <= 14; ++m) {
+    const std::size_t n = std::size_t{1} << m;
+    const std::size_t words = bitpack::words_for(n);
+    const unsigned k0 = m < 6 ? m : 6;
+    const CompiledBnb plan(m, &ref);
+    const std::size_t cw = plan.control_words();
+    std::vector<std::uint64_t> values(n);
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t lines = std::min<std::size_t>(64, n);
+      const Permutation local = random_perm(lines, rng);
+      for (std::size_t t = 0; t < lines; ++t) values[64 * w + t] = (64 * w) | local(t);
     }
+    std::vector<std::uint64_t> start((m + 1) * words, 0);
+    ref.pack_slices(values.data(), n, m, start.data());
 
-    for (std::size_t chunk = 1; chunk <= nbits; chunk *= 2) {
-      if (nbits % chunk != 0) break;
-      ref.chunk_concat(a.data(), b.data(), nbits, chunk, expect.data());
-      for (const KernelSet* set : kernels::supported_kernel_sets()) {
-        set->chunk_concat(a.data(), b.data(), nbits, chunk, got.data());
-        ASSERT_TRUE(std::equal(got.begin(), got.begin() + out_words, expect.begin()))
-            << set->name << " chunk_concat nbits=" << nbits << " chunk=" << chunk;
+    // Reference: column by column, every address slice moving.
+    std::vector<std::uint64_t> expect = start;
+    std::vector<std::uint64_t> expect_ctl;
+    std::vector<std::uint64_t> work(plan.work_words()), out(words), tap(words);
+    std::size_t col = plan.columns().size() - k0 * (k0 + 1) / 2;
+    unsigned expect_levels = 0;
+    for (unsigned i = m - k0; i < m; ++i) {
+      const unsigned k = m - i;
+      std::copy_n(expect.begin() + static_cast<std::ptrdiff_t>((k - 1) * words), words, tap.begin());
+      for (unsigned j = 0; j < k; ++j, ++col) {
+        const CompiledBnb::Column& c = plan.columns()[col];
+        std::vector<std::uint64_t> ctl(cw);
+        expect_levels += ref.column_arbiter(tap.data(), n, c.p, nullptr, ctl.data(), work.data());
+        expect_ctl.insert(expect_ctl.end(), ctl.begin(), ctl.end());
+        if (c.update_bits) {
+          ref.slice_pass(tap.data(), n, ctl.data(), c.group / 2, out.data());
+          tap = out;
+        }
+        for (unsigned s = 0; s < m; ++s) {
+          ref.slice_pass(expect.data() + s * words, n, ctl.data(), c.group / 2, out.data());
+          std::copy(out.begin(), out.end(), expect.begin() + static_cast<std::ptrdiff_t>(s * words));
+        }
       }
     }
-
-    const auto ctl = random_packed(nbits, rng);
-    std::vector<std::uint64_t> expect_e(a), expect_o(b);
-    ref.masked_exchange(expect_e.data(), expect_o.data(), ctl.data(), words);
-    std::vector<std::uint64_t> expect_x(a);
-    ref.xor_words(expect_x.data(), b.data(), words);
     for (const KernelSet* set : kernels::supported_kernel_sets()) {
-      std::vector<std::uint64_t> e(a), o(b);
-      set->masked_exchange(e.data(), o.data(), ctl.data(), words);
-      ASSERT_TRUE(e == expect_e && o == expect_o)
-          << set->name << " masked_exchange nbits=" << nbits;
-      std::vector<std::uint64_t> d(a);
-      set->xor_words(d.data(), b.data(), words);
-      ASSERT_EQ(d, expect_x) << set->name << " xor_words nbits=" << nbits;
+      std::vector<std::uint64_t> slices = start;
+      std::vector<std::uint64_t> ctl(expect_ctl.size(), ~std::uint64_t{0});
+      kernels::TailJob job;
+      job.slices = slices.data();
+      job.words = words;
+      job.m = m;
+      job.live = (std::uint32_t{1} << k0) - 1;  // consumed bits above 6 already final
+      job.ctl = ctl.data();
+      job.ctl_stride = cw;
+      set->solve_tail(job);
+      ASSERT_EQ(slices, expect) << set->name << " m=" << m;
+      ASSERT_EQ(ctl, expect_ctl) << set->name << " m=" << m;
+      ASSERT_EQ(job.arbiter_levels, expect_levels) << set->name << " m=" << m;
+      // Clean: the stage's k live slices per column, k columns per stage.
+      std::uint64_t passes = 0;
+      for (unsigned k = 1; k <= k0; ++k) passes += std::uint64_t{k} * k;
+      ASSERT_EQ(job.slice_words, passes * words) << set->name << " m=" << m;
     }
   }
 }
 
 TEST(Kernels, SlicePassMatchesItsThreePassComposition) {
+  // slice_pass against its definition: apply_column_to_lines on the
+  // unpacked bits (exchange pair t under control bit t, then the
+  // 2*chunk-line unshuffle).
   Rng rng(0xC0DE03);
-  const auto& ref = kernels::scalar_kernels();
   for (std::size_t nbits = 2; nbits <= 4096; nbits *= 2) {
     const auto in = random_packed(nbits, rng);
     const std::size_t words = bitpack::words_for(nbits);
-    const std::size_t half_words = bitpack::words_for(nbits / 2);
     const auto ctl = random_packed(nbits / 2, rng);
+    const std::vector<std::uint8_t> bits = unpack_bits(in, nbits);
     for (std::size_t chunk = 1; 2 * chunk <= nbits; chunk *= 2) {
-      // Reference: explicit compress -> masked exchange -> chunk_concat.
-      std::vector<std::uint64_t> e(half_words + 1), o(half_words + 1),
-          expect(words + 1), got(words + 1), tmp(words + 1);
-      ref.compress_even(in.data(), nbits, e.data());
-      ref.compress_odd(in.data(), nbits, o.data());
-      ref.masked_exchange(e.data(), o.data(), ctl.data(), half_words);
-      ref.chunk_concat(e.data(), o.data(), nbits / 2, chunk, expect.data());
+      std::vector<std::uint8_t> moved(nbits);
+      apply_column_to_lines<std::uint8_t>(ctl.data(), bits, moved, 2 * chunk);
+      std::vector<std::uint64_t> got(words + 1);
       for (const KernelSet* set : kernels::supported_kernel_sets()) {
-        set->slice_pass(in.data(), nbits, ctl.data(), chunk, tmp.data(), got.data());
-        ASSERT_TRUE(std::equal(got.begin(), got.begin() + words, expect.begin()))
+        set->slice_pass(in.data(), nbits, ctl.data(), chunk, got.data());
+        ASSERT_EQ(unpack_bits(got, nbits), moved)
             << set->name << " slice_pass nbits=" << nbits << " chunk=" << chunk;
+        if (nbits < 64) ASSERT_EQ(got[0] >> nbits, 0U) << set->name << " zero tail";
       }
     }
   }
@@ -467,6 +497,16 @@ TEST(Kernels, FullRoutesMatchScalarRandomizedUpToM12) {
   }
 }
 
+TEST(Kernels, FullRoutesMatchBehavioralAtM13AndM14) {
+  // The largest networks, where the arbiter's levels above 64 lines recurse
+  // over the per-word parities twice (p > 12).
+  Rng rng(0xC0DE0A);
+  for (const unsigned m : {13U, 14U}) {
+    expect_route_equivalence(m, random_perm(std::size_t{1} << m, rng), nullptr,
+                             /*with_trace=*/true);
+  }
+}
+
 TEST(Kernels, RouteWordsPayloadsSurviveEveryTier) {
   // The datapath never moves payloads through the network — it carries
   // only address slices and re-attaches payloads at delivery through the
@@ -519,6 +559,54 @@ TEST(Kernels, MultiFaultCampaignMatchesScalarAtMediumSize) {
   for (int r = 0; r < 3; ++r) {
     expect_route_equivalence(m, random_perm(std::size_t{1} << m, rng), &model,
                              /*with_trace=*/true);
+  }
+}
+
+TEST(Kernels, MultiFaultCampaignsStraddleTheTailAtM8AndM10) {
+  // Seeded campaigns with every fault kind pinned into stage 1 (boxes of
+  // more than 64 lines, the slice-by-slice columns) and into a stage of
+  // the fused tail (boxes of 8 lines).  The first campaign leaves stage 0
+  // clean, so its consumed slice freezes and a dead crosspoint in stage 1
+  // poisons it: that slice must resume moving.  The others also pin faults
+  // into stage 0 and add random ones anywhere.  A link flip makes the
+  // arbiter's tap leave its slice.  Every tier must equal the behavioral
+  // route_with_faults.
+  for (const unsigned m : {8U, 10U}) {
+    Rng rng(0xC0DE0B + m);
+    for (int campaign = 0; campaign < 3; ++campaign) {
+      FaultModel model(m);
+      if (campaign > 0) {
+        for (const FaultSpec& spec : FaultModel::random_campaign(m, 6, rng)) model.add(spec);
+      }
+      const auto pick = [&](std::uint64_t bound) {
+        return static_cast<std::uint32_t>(rng.below(bound));
+      };
+      std::vector<unsigned> stages = {1U, m - 3};
+      if (campaign > 0) stages.push_back(0U);
+      for (const unsigned stage : stages) {
+        const unsigned k = m - stage;
+        for (unsigned j = 0; j < k; j += 2) {
+          const unsigned p = k - j;
+          const std::uint32_t splitters = std::uint32_t{1} << (stage + j);
+          const auto at = [&](std::uint64_t elements) {
+            return FaultAddress{stage, j, pick(splitters), pick(elements)};
+          };
+          model.add({FaultKind::kDeadCrosspoint, at(std::uint64_t{1} << (p - 1)), false,
+                     static_cast<std::uint8_t>(pick(2)), static_cast<std::uint8_t>(pick(2))});
+          model.add({FaultKind::kLinkFlip, at(std::uint64_t{1} << p), false, 0, 0});
+          model.add({FaultKind::kStuckControl, at(std::uint64_t{1} << (p - 1)), pick(2) == 1,
+                     0, 0});
+          if (p >= 2) {
+            model.add({FaultKind::kStuckFlag, at(std::uint64_t{1} << (p - 1)), pick(2) == 1,
+                       0, 0});
+          }
+        }
+      }
+      for (int r = 0; r < 2; ++r) {
+        expect_route_equivalence(m, random_perm(std::size_t{1} << m, rng), &model,
+                                 /*with_trace=*/true);
+      }
+    }
   }
 }
 

@@ -7,11 +7,13 @@
 // poisoned cached digest is invalidated the moment its replay fails audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/bnb_network.hpp"
 #include "core/compiled_bnb.hpp"
 #include "core/schedule_cache.hpp"
 #include "fault/fault_model.hpp"
@@ -125,6 +127,41 @@ TEST(ResilientRouter, CleanFabricFastPathServesFromCacheAndAudits) {
     EXPECT_TRUE(warm.audit.ok) << "a cached replay must still be audited";
     expect_delivers(pi, warm);
     EXPECT_EQ(router.stats().cache_served, 1U) << "m=" << m;
+  }
+}
+
+TEST(ResilientRouter, CleanFabricDeliversFirstAttemptOnEverySizeColdAndWarm) {
+  // The router's audit-and-retry would hide a wrong solve: a misrouted
+  // first attempt still ends delivered, by retry or the spare plane.  So on
+  // a clean fabric every route must be the primary plane's first attempt,
+  // equal to the behavioral network, for every m — the small lane (m <= 6,
+  // where the whole solve is the fused tail) and the general lane, cold
+  // (solve) and warm (cached replay).
+  for (unsigned m = 1; m <= 14; ++m) {
+    const std::size_t n = std::size_t{1} << m;
+    ScheduleCache cache(8);
+    ResilientRouter router(m, {}, &cache);
+    const BnbNetwork reference(m);
+    Rng rng(0x2E60 + m);
+    std::vector<std::vector<std::uint32_t>> routed;  // m = 1 has only 2 permutations
+    std::uint64_t hits = 0;
+    for (int round = 0; round < 3; ++round) {
+      const Permutation pi = random_perm(n, rng);
+      const std::vector<std::uint32_t> want = reference.route(pi).dest;
+      bool seen = std::find(routed.begin(), routed.end(), want) != routed.end();
+      routed.push_back(want);
+      for (const char* pass : {"cold", "warm"}) {
+        const ResilientReport report = router.route(pi);
+        ASSERT_EQ(report.outcome, ResilientOutcome::kDelivered) << "m=" << m << " " << pass;
+        ASSERT_EQ(report.attempts, 1U) << "m=" << m << " " << pass;
+        ASSERT_EQ(report.served_from_cache, seen) << "m=" << m << " " << pass;
+        ASSERT_EQ(report.dest, want) << "m=" << m << " " << pass;
+        hits += seen ? 1 : 0;
+        seen = true;
+      }
+    }
+    EXPECT_EQ(router.stats().degraded, 0U) << "m=" << m;
+    EXPECT_EQ(router.stats().cache_served, hits) << "m=" << m;
   }
 }
 
