@@ -49,11 +49,43 @@ constexpr bool plausible_shape(std::uint32_t m, std::uint64_t columns,
          columns == static_cast<std::uint64_t>(m) * (m + 1) / 2 && control_words >= 1;
 }
 
+/// A frame's general-lane payload as one seqlock read sees it.
+struct GeneralView {
+  std::uint32_t m = 0;
+  std::size_t columns = 0;
+  std::size_t control_words = 0;
+  const std::atomic<std::uint64_t>* ctl = nullptr;    ///< columns * control_words words
+  const std::atomic<std::uint64_t>* lines = nullptr;  ///< 2^m / 2 packed line pairs
+};
+
+/// Read `frame`'s general shape; false when it is torn or would overrun
+/// the payload buffer.
+template <class Frame>
+bool view_general(const Frame& frame, GeneralView& view) noexcept {
+  view.m = frame.g_m.load(std::memory_order_relaxed);
+  view.columns = frame.g_columns.load(std::memory_order_relaxed);
+  view.control_words = frame.g_control_words.load(std::memory_order_relaxed);
+  const std::atomic<std::uint64_t>* buf = frame.gbuf.load(std::memory_order_relaxed);
+  if (buf == nullptr || !plausible_shape(view.m, view.columns, view.control_words)) {
+    return false;
+  }
+  const std::size_t ctl_words = view.columns * view.control_words;
+  const std::size_t line_words = (std::size_t{1} << view.m) / 2;
+  if (ctl_words + line_words > buf[0].load(std::memory_order_relaxed)) return false;
+  view.ctl = buf + 1;
+  view.lines = buf + 1 + ctl_words;
+  return true;
+}
+
 }  // namespace
 
 PermutationDigest digest_permutation(const Permutation& pi) noexcept {
-  const std::uint32_t* image = pi.image().data();
-  const std::size_t n = pi.size();
+  return digest_image(pi.image());
+}
+
+PermutationDigest digest_image(std::span<const std::uint32_t> whole) noexcept {
+  const std::uint32_t* image = whole.data();
+  const std::size_t n = whole.size();
   // Four independent multiply-fold chains, each with its own odd key and a
   // seed that mixes in the size.  The image is read as 64-bit chunks (two
   // adjacent elements in native byte order; a store's endianness probe
@@ -95,18 +127,24 @@ ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards,
                              obs::MetricsRegistry* registry)
     : capacity_(capacity),
       registry_(registry != nullptr ? registry : &obs::MetricsRegistry::global()) {
-  BNB_EXPECTS(capacity >= 1);
+  BNB_EXPECTS(capacity >= 1 && capacity < (std::size_t{1} << 31));
   BNB_EXPECTS(shards >= 1 && shards <= 256);
-  (void)shards;  // PR 4 API compatibility; the flat table has no shards
+  (void)shards;  // source compatibility with the old sharded cache; no shards here
   table_size_ = next_pow2(capacity_ < 4 ? 8 : 2 * capacity_);
   mask_ = table_size_ - 1;
-  slots_ = std::make_unique<Slot[]>(table_size_);
+  frames_ = std::make_unique<Frame[]>(capacity_);
+  cells_ = std::make_unique<std::atomic<std::uint32_t>[]>(2 * table_size_);
+  table_.store(cells_.get(), std::memory_order_relaxed);
+  free_frames_.reserve(capacity_);
+  for (std::size_t id = capacity_; id-- > 0;) {
+    free_frames_.push_back(static_cast<std::uint32_t>(id));
+  }
   registry_->attach_counter("bnb_cache_hits_total", &hits_,
                             "schedule cache hits (replays without a solve)");
   registry_->attach_counter("bnb_cache_misses_total", &misses_,
                             "schedule cache misses (cold solves)");
   registry_->attach_counter("bnb_cache_evictions_total", &evictions_,
-                            "clock/second-chance evictions");
+                            "clock evictions (one per victim frame)");
   registry_->attach_counter("bnb_cache_bypasses_total", &bypasses_,
                             "fault/trace routes that bypassed the cache");
   registry_->attach_counter("bnb_cache_quarantined_total", &quarantined_,
@@ -116,9 +154,9 @@ ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards,
   registry_->attach_counter("bnb_cache_store_loaded_total", &store_loaded_,
                             "schedule records loaded (load() + warm-store promotions)");
   registry_->attach_gauge("bnb_cache_entries", &entries_,
-                          "live cached schedules in the flat table");
+                          "live cached schedules");
   probe_len_ = &registry_->histogram("bnb_cache_probe_len",
-                                     "open-addressing slots probed per cache lookup");
+                                     "id-table cells probed per cache lookup");
 }
 
 ScheduleCache::~ScheduleCache() {
@@ -151,7 +189,7 @@ CompiledBnb::Output ScheduleCache::route(const CompiledBnb& plan, const Permutat
   }
   const PermutationDigest digest = digest_permutation(pi);
   if (plan.small_capable()) {
-    // Small lane: value-type hit copied out through the slot's staging
+    // Small lane: value-type hit copied out through the frame's staging
     // words and replayed in registers — the warm path allocates nothing.
     SmallSchedule small;
     if (find_small(digest, small)) {
@@ -162,7 +200,7 @@ CompiledBnb::Output ScheduleCache::route(const CompiledBnb& plan, const Permutat
     insert_small(digest, small);
     return out;
   }
-  // General lane: a hit replays STRAIGHT FROM THE SLOT (no schedule copy);
+  // General lane: a hit replays STRAIGHT FROM THE FRAME (no schedule copy);
   // a miss routes the clean path — which already captures the solved
   // schedule into the scratch slot — and publishes that capture.
   CompiledBnb::Output out;
@@ -174,71 +212,77 @@ CompiledBnb::Output ScheduleCache::route(const CompiledBnb& plan, const Permutat
   return out;
 }
 
-ScheduleCache::Slot* ScheduleCache::probe_reader(const PermutationDigest& digest,
-                                                 std::size_t& probes) noexcept {
+ScheduleCache::Frame* ScheduleCache::find_frame(const std::atomic<std::uint32_t>* table,
+                                                const PermutationDigest& digest,
+                                                std::size_t& cell,
+                                                std::size_t& probes) const noexcept {
   // Double hashing: both digest lanes are avalanche-mixed, so lo IS the
   // bucket hash and hi|1 an odd (hence full-cycle) step.
   std::size_t idx = static_cast<std::size_t>(digest.lo) & mask_;
   const std::size_t step = (static_cast<std::size_t>(digest.hi) | 1) & mask_;
   for (std::size_t k = 0; k < table_size_; ++k) {
-    Slot& s = slots_[idx];
     ++probes;
-    const std::uint32_t st = s.state.load(std::memory_order_acquire);
-    if (st == kFree) return nullptr;  // probe chains never skip a free slot
-    if (st == kLive && s.digest_lo.load(std::memory_order_relaxed) == digest.lo &&
-        s.digest_hi.load(std::memory_order_relaxed) == digest.hi) {
+    const std::uint32_t c = table[idx].load(std::memory_order_acquire);
+    if (c == kFreeCell) return nullptr;  // probe chains never skip a free cell
+    if (c >= kFirstId) {
+      Frame& f = frames_[c - kFirstId];
       // A torn digest read can only FAIL this test (→ clean miss); a false
-      // positive still has to survive the caller's seqlock validation.
-      return &s;
+      // positive still has to survive the reader's seqlock validation.
+      if (f.digest_lo.load(std::memory_order_relaxed) == digest.lo &&
+          f.digest_hi.load(std::memory_order_relaxed) == digest.hi &&
+          f.lane.load(std::memory_order_relaxed) != kEmpty) {
+        cell = idx;
+        return &f;
+      }
     }
     idx = (idx + step) & mask_;
   }
   return nullptr;
 }
 
-bool ScheduleCache::replay(const CompiledBnb& plan, const PermutationDigest& digest,
-                           const Permutation& pi, RouteScratch& scratch,
-                           CompiledBnb::Output& out) {
-  std::size_t probes = 0;
-  Slot* slot = probe_reader(digest, probes);
-  probe_len_->record(probes);
-  if (slot != nullptr) {
-    for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-      const std::uint32_t s1 = slot->seq.load(std::memory_order_acquire);
+template <class Copy>
+bool ScheduleCache::read(const PermutationDigest& digest, std::uint32_t lane,
+                         ControlSchedule* staging, Copy&& copy) {
+  for (bool promoted = false;; promoted = true) {
+    std::size_t cell = 0;
+    std::size_t probes = 0;
+    Frame* f = find_frame(table_.load(std::memory_order_acquire), digest, cell, probes);
+    probe_len_->record(probes);
+    for (int attempt = 0; f != nullptr && attempt < kReadAttempts; ++attempt) {
+      const std::uint32_t s1 = f->seq.load(std::memory_order_acquire);
       if ((s1 & 1U) != 0) continue;  // writer inside; retry
-      if (slot->state.load(std::memory_order_relaxed) != kLive ||
-          slot->lane.load(std::memory_order_relaxed) != kLaneGeneral ||
-          slot->digest_lo.load(std::memory_order_relaxed) != digest.lo ||
-          slot->digest_hi.load(std::memory_order_relaxed) != digest.hi) {
-        break;  // evicted/lane-switched under us: ordinary miss
+      if (f->lane.load(std::memory_order_relaxed) != lane ||
+          f->digest_lo.load(std::memory_order_relaxed) != digest.lo ||
+          f->digest_hi.load(std::memory_order_relaxed) != digest.hi || !copy(*f)) {
+        break;  // evicted, the other lane's entry, or a shape this call cannot use
       }
-      const std::uint32_t m = slot->g_m.load(std::memory_order_relaxed);
-      const std::uint64_t columns = slot->g_columns.load(std::memory_order_relaxed);
-      const std::uint64_t cw = slot->g_control_words.load(std::memory_order_relaxed);
-      std::atomic<std::uint64_t>* buf = slot->gbuf.load(std::memory_order_relaxed);
-      if (m != plan.m() || buf == nullptr || !plausible_shape(m, columns, cw)) break;
-      const std::size_t n = plan.inputs();
-      const std::size_t ctl_words = static_cast<std::size_t>(columns * cw);
-      const std::size_t line_words = (n + 1) / 2;
-      if (ctl_words + line_words > buf[0].load(std::memory_order_relaxed)) {
-        break;  // torn shape would overrun the payload: miss
-      }
-      // Replay the input->line map straight off the slot (relaxed loads,
-      // line values masked in-range) — zero copies, zero allocations.
-      out = plan.apply_packed_lines(buf + 1 + ctl_words, pi, scratch);
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot->seq.load(std::memory_order_relaxed) != s1) continue;  // torn: retry
-      slot->ref.store(1, std::memory_order_relaxed);  // second chance
+      if (f->seq.load(std::memory_order_relaxed) != s1) continue;  // torn: retry
+      const std::uint32_t ref = f->ref.load(std::memory_order_relaxed);
+      if (ref < kMaxRef) f->ref.store(ref + 1, std::memory_order_relaxed);
       hits_.inc();
       return true;
     }
-  }
-  if (warm_view_.load(std::memory_order_acquire) != nullptr &&
-      warm_replay(plan, digest, pi, scratch, out)) {
-    return true;
+    if (promoted || warm_view_.load(std::memory_order_acquire) == nullptr ||
+        !promote_warm(digest, lane, staging)) {
+      break;
+    }
   }
   misses_.inc();
   return false;
+}
+
+bool ScheduleCache::replay(const CompiledBnb& plan, const PermutationDigest& digest,
+                           const Permutation& pi, RouteScratch& scratch,
+                           CompiledBnb::Output& out) {
+  return read(digest, kLaneGeneral, &scratch.schedule_slot(), [&](const Frame& f) {
+    GeneralView view;
+    if (!view_general(f, view) || view.m != plan.m()) return false;
+    // Replay the input->line map straight off the frame (relaxed loads,
+    // line values masked in-range) — zero copies, zero allocations.
+    out = plan.apply_packed_lines(view.lines, pi, scratch);
+    return true;
+  });
 }
 
 bool ScheduleCache::find(const PermutationDigest& digest, ControlSchedule& out) {
@@ -264,116 +308,67 @@ bool ScheduleCache::find(const PermutationDigest& digest, ControlSchedule& out) 
     }
   } lookup_timer;
 #endif
-  std::size_t probes = 0;
-  Slot* slot = probe_reader(digest, probes);
-  probe_len_->record(probes);
-  if (slot != nullptr) {
-    for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-      const std::uint32_t s1 = slot->seq.load(std::memory_order_acquire);
-      if ((s1 & 1U) != 0) continue;
-      if (slot->state.load(std::memory_order_relaxed) != kLive ||
-          slot->lane.load(std::memory_order_relaxed) != kLaneGeneral ||
-          slot->digest_lo.load(std::memory_order_relaxed) != digest.lo ||
-          slot->digest_hi.load(std::memory_order_relaxed) != digest.hi) {
-        break;
-      }
-      const std::uint32_t m = slot->g_m.load(std::memory_order_relaxed);
-      const std::uint64_t columns = slot->g_columns.load(std::memory_order_relaxed);
-      const std::uint64_t cw = slot->g_control_words.load(std::memory_order_relaxed);
-      std::atomic<std::uint64_t>* buf = slot->gbuf.load(std::memory_order_relaxed);
-      if (buf == nullptr || !plausible_shape(m, columns, cw)) break;
-      const std::size_t n = std::size_t{1} << m;
-      const std::size_t ctl_words = static_cast<std::size_t>(columns * cw);
-      const std::size_t line_words = (n + 1) / 2;
-      if (ctl_words + line_words > buf[0].load(std::memory_order_relaxed)) break;
-      // Copy-out: allocation-free when `out` already has this shape.
-      out.reshape(m, static_cast<std::size_t>(columns), static_cast<std::size_t>(cw));
-      std::uint64_t* ctl = out.ctl_data();
-      for (std::size_t w = 0; w < ctl_words; ++w) {
-        ctl[w] = buf[1 + w].load(std::memory_order_relaxed);
-      }
-      std::uint32_t* lines = out.lines_data();
-      const std::atomic<std::uint64_t>* packed = buf + 1 + ctl_words;
-      for (std::size_t w = 0; w < line_words; ++w) {
-        const std::uint64_t word = packed[w].load(std::memory_order_relaxed);
-        lines[2 * w] = static_cast<std::uint32_t>(word);
-        if (2 * w + 1 < n) lines[2 * w + 1] = static_cast<std::uint32_t>(word >> 32);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot->seq.load(std::memory_order_relaxed) != s1) continue;  // torn: retry
-      out.set_solved(true);
-      slot->ref.store(1, std::memory_order_relaxed);
-      hits_.inc();
-      return true;
+  const bool hit = read(digest, kLaneGeneral, &out, [&](const Frame& f) {
+    GeneralView view;
+    if (!view_general(f, view)) return false;
+    // Copy-out: allocation-free when `out` already has this shape.
+    out.reshape(view.m, view.columns, view.control_words);
+    std::uint64_t* ctl = out.ctl_data();
+    for (std::size_t w = 0; w < view.columns * view.control_words; ++w) {
+      ctl[w] = view.ctl[w].load(std::memory_order_relaxed);
     }
-  }
-  if (warm_view_.load(std::memory_order_acquire) != nullptr &&
-      warm_fetch_general(digest, out)) {
+    std::uint32_t* lines = out.lines_data();
+    for (std::size_t w = 0; w < (std::size_t{1} << view.m) / 2; ++w) {
+      const std::uint64_t word = view.lines[w].load(std::memory_order_relaxed);
+      lines[2 * w] = static_cast<std::uint32_t>(word);
+      lines[2 * w + 1] = static_cast<std::uint32_t>(word >> 32);
+    }
     return true;
-  }
-  misses_.inc();
-  return false;
+  });
+  if (hit) out.set_solved(true);
+  return hit;
 }
 
 bool ScheduleCache::find_small(const PermutationDigest& digest, SmallSchedule& out) {
   static_assert(std::is_trivially_copyable_v<SmallSchedule>,
                 "the small lane stages SmallSchedule as raw words");
-  std::size_t probes = 0;
-  Slot* slot = probe_reader(digest, probes);
-  probe_len_->record(probes);
-  if (slot != nullptr) {
-    for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-      const std::uint32_t s1 = slot->seq.load(std::memory_order_acquire);
-      if ((s1 & 1U) != 0) continue;
-      if (slot->state.load(std::memory_order_relaxed) != kLive ||
-          slot->lane.load(std::memory_order_relaxed) != kLaneSmall ||
-          slot->digest_lo.load(std::memory_order_relaxed) != digest.lo ||
-          slot->digest_hi.load(std::memory_order_relaxed) != digest.hi) {
-        break;  // absent or a general-lane entry: not this lane's data
-      }
-      std::uint64_t words[kSmallWords];
-      for (std::size_t i = 0; i < kSmallWords; ++i) {
-        words[i] = slot->small[i].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot->seq.load(std::memory_order_relaxed) != s1) continue;  // torn: retry
-      std::memcpy(&out, words, sizeof(SmallSchedule));
-      if (!out.solved()) break;  // torn-then-validated can't happen; belt and braces
-      slot->ref.store(1, std::memory_order_relaxed);
-      hits_.inc();
-      return true;
+  std::uint64_t words[kSmallWords];
+  const bool hit = read(digest, kLaneSmall, nullptr, [&](const Frame& f) {
+    for (std::size_t i = 0; i < kSmallWords; ++i) {
+      words[i] = f.small[i].load(std::memory_order_relaxed);
     }
-  }
-  if (warm_view_.load(std::memory_order_acquire) != nullptr &&
-      warm_fetch_small(digest, out)) {
     return true;
-  }
-  misses_.inc();
-  return false;
+  });
+  if (hit) std::memcpy(&out, words, sizeof(SmallSchedule));
+  return hit;
 }
 
 void ScheduleCache::insert(const PermutationDigest& digest, const ControlSchedule& schedule) {
   BNB_EXPECTS(schedule.solved());
   std::scoped_lock lock(mu_);
-  Slot* slot = writer_claim_locked(digest);
-  write_general_locked(*slot, digest, schedule);
+  Frame& frame = claim_locked(digest);
+  write_general_locked(frame, digest, schedule);
+  publish_locked(digest, frame);
 }
 
 void ScheduleCache::insert_small(const PermutationDigest& digest,
                                  const SmallSchedule& schedule) {
   BNB_EXPECTS(schedule.solved());
   std::scoped_lock lock(mu_);
-  Slot* slot = writer_claim_locked(digest);
-  write_small_locked(*slot, digest, schedule);
+  Frame& frame = claim_locked(digest);
+  write_small_locked(frame, digest, schedule);
+  publish_locked(digest, frame);
 }
 
 bool ScheduleCache::invalidate(const PermutationDigest& digest) {
   std::scoped_lock lock(mu_);
-  Slot* slot = writer_find_locked(digest);
-  if (slot == nullptr) return false;
-  free_slot_locked(*slot, kTombstone);
+  std::size_t cell = 0;
+  std::size_t probes = 0;
+  Frame* frame = find_frame(table_.load(std::memory_order_relaxed), digest, cell, probes);
+  if (frame == nullptr) return false;
+  unlink_locked(*frame);
+  release_locked(*frame);
   --live_;
-  ++tombstones_;
   quarantined_.inc();
   entries_.add(-1);
   return true;
@@ -399,11 +394,12 @@ std::size_t ScheduleCache::size() const {
 
 void ScheduleCache::clear() {
   std::scoped_lock lock(mu_);
+  std::atomic<std::uint32_t>* table = table_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < table_size_; ++i) {
-    if (slots_[i].state.load(std::memory_order_relaxed) != kFree) {
-      free_slot_locked(slots_[i], kFree);
-    }
+    table[i].store(kFreeCell, std::memory_order_relaxed);
   }
+  free_frames_.clear();
+  for (std::size_t id = capacity_; id-- > 0;) release_locked(frames_[id]);
   entries_.add(-static_cast<std::int64_t>(live_));
   live_ = 0;
   tombstones_ = 0;
@@ -412,227 +408,167 @@ void ScheduleCache::clear() {
 
 // -- writer-side helpers (mu_ held) -----------------------------------------
 
-ScheduleCache::Slot* ScheduleCache::writer_find_locked(
-    const PermutationDigest& digest) noexcept {
+ScheduleCache::Frame& ScheduleCache::claim_locked(const PermutationDigest& digest) {
+  if (tombstones_ * 4 >= table_size_) rebuild_table_locked();
+  std::size_t cell = 0;
+  std::size_t probes = 0;
+  std::atomic<std::uint32_t>* table = table_.load(std::memory_order_relaxed);
+  if (Frame* held = find_frame(table, digest, cell, probes)) {
+    return *held;  // racing miss / lane switch: overwrite in place
+  }
+  if (!free_frames_.empty()) {
+    Frame& frame = frames_[free_frames_.back()];
+    free_frames_.pop_back();
+    ++live_;
+    entries_.add(1);
+    return frame;
+  }
+  // Clock over frames: the hand takes 1 from each frame it passes and
+  // evicts the first one already at 0.  Every count is <= kMaxRef, so
+  // kMaxRef sweeps reach a 0 unless concurrent hits keep topping counts
+  // up; the bound then evicts where the hand stands.
+  for (std::size_t passed = 0;; ++passed) {
+    Frame& frame = frames_[hand_];
+    hand_ = hand_ + 1 == capacity_ ? 0 : hand_ + 1;
+    const std::uint32_t ref = frame.ref.load(std::memory_order_relaxed);
+    if (ref == 0 || passed >= kMaxRef * capacity_) {
+      unlink_locked(frame);
+      evictions_.inc();
+      return frame;
+    }
+    frame.ref.store(ref - 1, std::memory_order_relaxed);
+  }
+}
+
+void ScheduleCache::publish_locked(const PermutationDigest& digest, const Frame& frame) {
+  std::atomic<std::uint32_t>* table = table_.load(std::memory_order_relaxed);
+  std::size_t cell = 0;
+  std::size_t probes = 0;
+  if (find_frame(table, digest, cell, probes) == &frame) return;  // refreshed in place
+  const auto id = static_cast<std::uint32_t>(&frame - frames_.get());
+  place_locked(table, digest, id + kFirstId);
+}
+
+void ScheduleCache::place_locked(std::atomic<std::uint32_t>* table,
+                                 const PermutationDigest& digest,
+                                 std::uint32_t cell_value) noexcept {
+  // First free-or-tombstone cell in probe order; live <= capacity <=
+  // table_size/2 guarantees one on the cycle.
   std::size_t idx = static_cast<std::size_t>(digest.lo) & mask_;
   const std::size_t step = (static_cast<std::size_t>(digest.hi) | 1) & mask_;
-  for (std::size_t k = 0; k < table_size_; ++k) {
-    Slot& s = slots_[idx];
-    const std::uint32_t st = s.state.load(std::memory_order_relaxed);
-    if (st == kFree) return nullptr;
-    if (st == kLive && s.digest_lo.load(std::memory_order_relaxed) == digest.lo &&
-        s.digest_hi.load(std::memory_order_relaxed) == digest.hi) {
-      return &s;
-    }
+  while (table[idx].load(std::memory_order_relaxed) >= kFirstId) {
     idx = (idx + step) & mask_;
   }
-  return nullptr;
+  if (table[idx].load(std::memory_order_relaxed) == kTombstone) --tombstones_;
+  table[idx].store(cell_value, std::memory_order_release);
 }
 
-ScheduleCache::Slot* ScheduleCache::writer_position_locked(
-    const PermutationDigest& digest) noexcept {
-  // First free-or-tombstone slot in probe order.  The caller has already
-  // ruled out a live entry under this digest, and live_ <= capacity_ <=
-  // table_size_/2 guarantees a non-live slot exists on the cycle.
-  std::size_t idx = static_cast<std::size_t>(digest.lo) & mask_;
-  const std::size_t step = (static_cast<std::size_t>(digest.hi) | 1) & mask_;
-  for (std::size_t k = 0; k < table_size_; ++k) {
-    Slot& s = slots_[idx];
-    if (s.state.load(std::memory_order_relaxed) != kLive) return &s;
-    idx = (idx + step) & mask_;
-  }
-  return nullptr;  // unreachable by the load-factor invariant
-}
-
-ScheduleCache::Slot* ScheduleCache::writer_claim_locked(const PermutationDigest& digest) {
-  if (tombstones_ * 4 >= table_size_) rehash_locked();
-  if (Slot* existing = writer_find_locked(digest)) {
-    return existing;  // racing miss / lane switch: overwrite in place
-  }
-  if (live_ >= capacity_) evict_one_locked();
-  Slot* slot = writer_position_locked(digest);
-  BNB_EXPECTS(slot != nullptr);
-  if (slot->state.load(std::memory_order_relaxed) == kTombstone) --tombstones_;
-  ++live_;
-  entries_.add(1);
-  return slot;
-}
-
-void ScheduleCache::evict_one_locked() {
-  // Clock / second chance: clear reference bits until an unreferenced live
-  // slot comes under the hand; two sweeps always find one (the first sweep
-  // clears every bit at worst).
-  for (std::size_t k = 0; k < 2 * table_size_ + 1; ++k) {
-    Slot& s = slots_[hand_];
-    hand_ = (hand_ + 1) & mask_;
-    if (s.state.load(std::memory_order_relaxed) != kLive) continue;
-    if (s.ref.load(std::memory_order_relaxed) != 0) {
-      s.ref.store(0, std::memory_order_relaxed);  // second chance spent
-      continue;
-    }
-    free_slot_locked(s, kTombstone);
-    --live_;
+void ScheduleCache::unlink_locked(Frame& frame) noexcept {
+  // Tombstone the frame's cell so probe chains through it stay intact.
+  const PermutationDigest digest{frame.digest_lo.load(std::memory_order_relaxed),
+                                 frame.digest_hi.load(std::memory_order_relaxed)};
+  std::atomic<std::uint32_t>* table = table_.load(std::memory_order_relaxed);
+  std::size_t cell = 0;
+  std::size_t probes = 0;
+  if (find_frame(table, digest, cell, probes) == &frame) {
+    table[cell].store(kTombstone, std::memory_order_release);
     ++tombstones_;
-    evictions_.inc();
-    entries_.add(-1);
-    return;
   }
 }
 
-void ScheduleCache::free_slot_locked(Slot& slot, std::uint32_t new_state) noexcept {
-  // Seqlock writer dance so a reader mid-copy rejects its snapshot.  The
-  // payload buffer (if any) stays owned by buffers_ and attached to the
-  // slot as reusable scratch.
-  const std::uint32_t q = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(q + 1, std::memory_order_relaxed);
+void ScheduleCache::release_locked(Frame& frame) {
+  // Seqlock writer dance so a reader mid-copy rejects its snapshot; the
+  // payload buffer stays with the frame.
+  const std::uint32_t q = frame.seq.load(std::memory_order_relaxed);
+  frame.seq.store(q + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  slot.state.store(new_state, std::memory_order_relaxed);
-  slot.lane.store(0, std::memory_order_relaxed);
-  slot.ref.store(0, std::memory_order_relaxed);
-  slot.seq.store(q + 2, std::memory_order_release);
+  frame.lane.store(kEmpty, std::memory_order_relaxed);
+  frame.ref.store(0, std::memory_order_relaxed);
+  frame.seq.store(q + 2, std::memory_order_release);
+  free_frames_.push_back(static_cast<std::uint32_t>(&frame - frames_.get()));
 }
 
-std::atomic<std::uint64_t>* ScheduleCache::ensure_buffer_locked(Slot& slot,
-                                                                std::size_t payload_words) {
-  std::atomic<std::uint64_t>* buf = slot.gbuf.load(std::memory_order_relaxed);
-  if (buf != nullptr && buf[0].load(std::memory_order_relaxed) >= payload_words) {
-    return buf;  // reuse: word 0 is the immutable allocated capacity
+void ScheduleCache::rebuild_table_locked() noexcept {
+  // Re-index every live frame into the spare table, then swap it in.  No
+  // frame or payload moves; a reader still probing the old table at worst
+  // misses (every cell it follows is checked against the frame's digest).
+  std::atomic<std::uint32_t>* spare = cells_.get();
+  if (table_.load(std::memory_order_relaxed) == spare) spare += table_size_;
+  for (std::size_t i = 0; i < table_size_; ++i) {
+    spare[i].store(kFreeCell, std::memory_order_relaxed);
   }
-  // An outgrown buffer goes back on the free list; it stays owned by
-  // buffers_, since a reader may still be copying from it and
-  // type-stability is what makes that race benign.
-  if (buf != nullptr) spare_buffers_.push_back(buf);
-  for (std::size_t i = 0; i < spare_buffers_.size(); ++i) {
-    std::atomic<std::uint64_t>* spare = spare_buffers_[i];
-    if (spare[0].load(std::memory_order_relaxed) >= payload_words) {
-      spare_buffers_[i] = spare_buffers_.back();
-      spare_buffers_.pop_back();
-      return spare;
-    }
+  for (std::size_t id = 0; id < capacity_; ++id) {
+    const Frame& f = frames_[id];
+    if (f.lane.load(std::memory_order_relaxed) == kEmpty) continue;
+    place_locked(spare,
+                 PermutationDigest{f.digest_lo.load(std::memory_order_relaxed),
+                                   f.digest_hi.load(std::memory_order_relaxed)},
+                 static_cast<std::uint32_t>(id) + kFirstId);
   }
-  auto owned = std::make_unique<std::atomic<std::uint64_t>[]>(1 + payload_words);
-  owned[0].store(payload_words, std::memory_order_relaxed);
-  buf = owned.get();
-  buffers_.push_back(std::move(owned));
-  return buf;
+  table_.store(spare, std::memory_order_release);
+  tombstones_ = 0;
 }
 
-void ScheduleCache::write_general_locked(Slot& slot, const PermutationDigest& digest,
+void ScheduleCache::write_general_locked(Frame& frame, const PermutationDigest& digest,
                                          const ControlSchedule& schedule) {
   const unsigned m = schedule.m();
   const std::size_t n = std::size_t{1} << m;
   const std::size_t ctl_words = schedule.columns() * schedule.control_words();
-  const std::size_t line_words = (n + 1) / 2;
-  std::atomic<std::uint64_t>* buf = ensure_buffer_locked(slot, ctl_words + line_words);
+  const std::size_t payload_words = ctl_words + n / 2;
+  std::atomic<std::uint64_t>* buf = frame.gbuf.load(std::memory_order_relaxed);
+  if (buf == nullptr || buf[0].load(std::memory_order_relaxed) < payload_words) {
+    // First general entry in this frame, or one larger than any before:
+    // the outgrown buffer stays owned by buffers_, since a reader may
+    // still be copying from it and type-stability is what makes that
+    // race benign.
+    auto owned = std::make_unique<std::atomic<std::uint64_t>[]>(1 + payload_words);
+    owned[0].store(payload_words, std::memory_order_relaxed);
+    buf = owned.get();
+    buffers_.push_back(std::move(owned));
+  }
   const std::span<const std::uint32_t> lines = schedule.line_of_input();
   const std::uint64_t* ctl = schedule.ctl_data();
 
-  const std::uint32_t q = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(q + 1, std::memory_order_relaxed);
+  const std::uint32_t q = frame.seq.load(std::memory_order_relaxed);
+  frame.seq.store(q + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  slot.digest_lo.store(digest.lo, std::memory_order_relaxed);
-  slot.digest_hi.store(digest.hi, std::memory_order_relaxed);
-  slot.g_m.store(m, std::memory_order_relaxed);
-  slot.g_columns.store(static_cast<std::uint32_t>(schedule.columns()),
-                       std::memory_order_relaxed);
-  slot.g_control_words.store(static_cast<std::uint32_t>(schedule.control_words()),
-                             std::memory_order_relaxed);
-  slot.gbuf.store(buf, std::memory_order_relaxed);
+  frame.digest_lo.store(digest.lo, std::memory_order_relaxed);
+  frame.digest_hi.store(digest.hi, std::memory_order_relaxed);
+  frame.g_m.store(m, std::memory_order_relaxed);
+  frame.g_columns.store(static_cast<std::uint32_t>(schedule.columns()),
+                        std::memory_order_relaxed);
+  frame.g_control_words.store(static_cast<std::uint32_t>(schedule.control_words()),
+                              std::memory_order_relaxed);
+  frame.gbuf.store(buf, std::memory_order_relaxed);
   for (std::size_t w = 0; w < ctl_words; ++w) {
     buf[1 + w].store(ctl[w], std::memory_order_relaxed);
   }
   std::atomic<std::uint64_t>* packed = buf + 1 + ctl_words;
-  for (std::size_t w = 0; w < line_words; ++w) {
-    const std::uint64_t level_lo = lines[2 * w];
-    const std::uint64_t level_hi = (2 * w + 1 < n) ? lines[2 * w + 1] : 0;
-    packed[w].store(level_lo | (level_hi << 32), std::memory_order_relaxed);
+  for (std::size_t w = 0; w < n / 2; ++w) {
+    packed[w].store(lines[2 * w] | (std::uint64_t{lines[2 * w + 1]} << 32),
+                    std::memory_order_relaxed);
   }
-  slot.lane.store(kLaneGeneral, std::memory_order_relaxed);
-  slot.state.store(kLive, std::memory_order_relaxed);
-  slot.ref.store(0, std::memory_order_relaxed);  // earns its second chance on a hit
-  slot.seq.store(q + 2, std::memory_order_release);
+  frame.lane.store(kLaneGeneral, std::memory_order_relaxed);
+  frame.ref.store(0, std::memory_order_relaxed);  // hits earn it clock passes
+  frame.seq.store(q + 2, std::memory_order_release);
 }
 
-void ScheduleCache::write_small_locked(Slot& slot, const PermutationDigest& digest,
+void ScheduleCache::write_small_locked(Frame& frame, const PermutationDigest& digest,
                                        const SmallSchedule& schedule) {
   std::uint64_t words[kSmallWords] = {};
   std::memcpy(words, &schedule, sizeof(SmallSchedule));
 
-  const std::uint32_t q = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(q + 1, std::memory_order_relaxed);
+  const std::uint32_t q = frame.seq.load(std::memory_order_relaxed);
+  frame.seq.store(q + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  slot.digest_lo.store(digest.lo, std::memory_order_relaxed);
-  slot.digest_hi.store(digest.hi, std::memory_order_relaxed);
+  frame.digest_lo.store(digest.lo, std::memory_order_relaxed);
+  frame.digest_hi.store(digest.hi, std::memory_order_relaxed);
   for (std::size_t i = 0; i < kSmallWords; ++i) {
-    slot.small[i].store(words[i], std::memory_order_relaxed);
+    frame.small[i].store(words[i], std::memory_order_relaxed);
   }
-  slot.lane.store(kLaneSmall, std::memory_order_relaxed);
-  slot.state.store(kLive, std::memory_order_relaxed);
-  slot.ref.store(0, std::memory_order_relaxed);
-  slot.seq.store(q + 2, std::memory_order_release);
-}
-
-void ScheduleCache::rehash_locked() {
-  // In-place compaction: lift every live entry out, reset the whole table,
-  // and re-insert at home positions.  Payload buffers MOVE with their
-  // entries (the packed words are position-independent), so no payload is
-  // rewritten.  Concurrent readers transiently miss mid-rehash and fall
-  // back to a solve — correct, just cold; their insert then queues on mu_.
-  std::vector<LiftedEntry>& lives = rehash_scratch_;
-  lives.clear();
-  for (std::size_t i = 0; i < table_size_; ++i) {
-    Slot& s = slots_[i];
-    std::atomic<std::uint64_t>* gbuf = s.gbuf.load(std::memory_order_relaxed);
-    if (s.state.load(std::memory_order_relaxed) == kLive) {
-      LiftedEntry e;
-      e.digest = PermutationDigest{s.digest_lo.load(std::memory_order_relaxed),
-                                   s.digest_hi.load(std::memory_order_relaxed)};
-      e.lane = s.lane.load(std::memory_order_relaxed);
-      e.ref = s.ref.load(std::memory_order_relaxed);
-      e.g_m = s.g_m.load(std::memory_order_relaxed);
-      e.g_columns = s.g_columns.load(std::memory_order_relaxed);
-      e.g_control_words = s.g_control_words.load(std::memory_order_relaxed);
-      e.gbuf = gbuf;
-      for (std::size_t w = 0; w < kSmallWords; ++w) {
-        e.small[w] = s.small[w].load(std::memory_order_relaxed);
-      }
-      lives.push_back(e);
-    } else if (gbuf != nullptr) {
-      spare_buffers_.push_back(gbuf);  // a tombstone's scratch buffer
-    }
-    if (s.state.load(std::memory_order_relaxed) != kFree) {
-      free_slot_locked(s, kFree);
-    }
-    // Detach every buffer so re-insertion can re-attach the RIGHT buffer
-    // to the RIGHT entry (ownership stays with buffers_).
-    const std::uint32_t q = s.seq.load(std::memory_order_relaxed);
-    s.seq.store(q + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    s.gbuf.store(nullptr, std::memory_order_relaxed);
-    s.seq.store(q + 2, std::memory_order_release);
-  }
-  tombstones_ = 0;
-  for (const LiftedEntry& e : lives) {
-    Slot* slot = writer_position_locked(e.digest);
-    BNB_EXPECTS(slot != nullptr);
-    Slot& s = *slot;
-    const std::uint32_t q = s.seq.load(std::memory_order_relaxed);
-    s.seq.store(q + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    s.digest_lo.store(e.digest.lo, std::memory_order_relaxed);
-    s.digest_hi.store(e.digest.hi, std::memory_order_relaxed);
-    s.g_m.store(e.g_m, std::memory_order_relaxed);
-    s.g_columns.store(e.g_columns, std::memory_order_relaxed);
-    s.g_control_words.store(e.g_control_words, std::memory_order_relaxed);
-    s.gbuf.store(e.gbuf, std::memory_order_relaxed);
-    for (std::size_t w = 0; w < kSmallWords; ++w) {
-      s.small[w].store(e.small[w], std::memory_order_relaxed);
-    }
-    s.lane.store(e.lane, std::memory_order_relaxed);
-    s.ref.store(e.ref, std::memory_order_relaxed);
-    s.state.store(kLive, std::memory_order_relaxed);
-    s.seq.store(q + 2, std::memory_order_release);
-  }
+  frame.lane.store(kLaneSmall, std::memory_order_relaxed);
+  frame.ref.store(0, std::memory_order_relaxed);
+  frame.seq.store(q + 2, std::memory_order_release);
 }
 
 }  // namespace bnb

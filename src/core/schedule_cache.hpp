@@ -1,54 +1,58 @@
-// Flat open-addressing schedule store with seqlock readers.
+// Frame-array schedule store with seqlock readers.
 //
 // The paper's fabric re-arbitrates every permutation from scratch; real
 // traffic repeats.  A ScheduleCache keys solved schedules by a strong
 // 128-bit permutation digest so a repeated permutation skips the entire
 // control solve (arbiter trees, column passes) and pays only the O(N)
-// schedule apply.  The interior is a single flat table, not the sharded
-// mutex+LRU of PR 4 — on the warm path a reader takes NO lock, follows NO
-// list, and touches NO reference count:
+// schedule apply.  On the warm path a reader takes NO lock, follows NO
+// list, and touches NO reference-counted pointer:
 //
-//   * FLAT TABLE: power-of-two capacity, open addressing with double
-//     hashing on the digest (h1 = lo, step = hi|1 — odd, so the probe
-//     sequence cycles the whole table).  The digest lanes are already
-//     avalanche-mixed; no re-hashing needed.  Load factor stays <= 1/2
-//     (table is sized to 2x the entry capacity).
-//   * SEQLOCK READERS: every slot carries a sequence word (even = stable,
-//     odd = writer inside).  A reader snapshots the sequence, copies or
-//     replays the payload with relaxed atomic loads, and revalidates; a
-//     torn read is discarded and becomes an ordinary miss.  Readers never
-//     block writers and writers never block readers.
+//   * FRAMES + ID TABLE: entries live in a fixed array of `capacity`
+//     frames and never move.  An open-addressing table of the next power
+//     of two >= 2 x capacity cells (load factor <= 1/2) maps a digest to
+//     a frame id by double hashing (h1 = lo, step = hi|1 — odd, so the
+//     probe sequence cycles the whole table).  The digest lanes are
+//     already avalanche-mixed; no re-hashing needed.  A removed entry
+//     leaves a tombstone cell so probe chains stay intact; when
+//     tombstones pile up the writer rebuilds the id table from the frames
+//     into a second table and publishes it with one pointer swap — no
+//     payload, frame or buffer moves, and no reader sees a half-built
+//     table.
+//   * SEQLOCK READERS: every frame carries a sequence word (even =
+//     stable, odd = writer inside).  One private read loop serves every
+//     lookup: probe, snapshot the sequence, run the caller's copy step
+//     with relaxed atomic loads, revalidate; a torn read retries and then
+//     becomes an ordinary miss.  Readers never block writers and writers
+//     never block readers.
 //   * ZERO-ALLOC WARM HITS: the general lane replays STRAIGHT FROM THE
-//     SLOT — replay() hands CompiledBnb::apply_packed_lines the slot's
-//     packed input->line map and revalidates the sequence afterwards; no
-//     schedule copy, no shared_ptr, no heap.  route() and ResilientRouter
-//     both hit through replay(); find() copy-out stays for callers that
-//     hand the schedule to another thread (StreamEngine).  The small lane
-//     copies its ~0.2 KB value type through the slot's staging words.
-//     Payload buffers are TYPE-STABLE: once allocated they live until
-//     the cache dies, so a reader racing an eviction copies
-//     stale-but-owned memory and the sequence check rejects the result.
-//     Buffers a rehash detaches from tombstones go on a writer-side free
-//     list that later inserts draw from, so eviction churn recycles a
-//     bounded pool instead of allocating per insert.
-//   * CLOCK EVICTION: a hit sets the slot's reference bit; inserting into
-//     a full cache sweeps a clock hand that clears reference bits and
-//     evicts the first unreferenced live slot (second chance — a touched
-//     entry always survives the next eviction).  Evicted/invalidated
-//     slots become tombstones so reader probe chains stay intact; the
-//     table rehashes in place when tombstones pile up.
-//   * FAULT/TRACE BYPASS and QUARANTINE keep their PR 4/7 contracts:
-//     route() forwards trace/fault calls to the fused engine (counted in
-//     `bypasses`), and invalidate(digest) tombstones the slot from
-//     whichever lane holds it (counted in `quarantined`) — see
-//     docs/RELIABILITY.md.
+//     FRAME — replay() hands CompiledBnb::apply_packed_lines the frame's
+//     packed input->line map; no schedule copy, no shared_ptr, no heap.
+//     route() and ResilientRouter both hit through replay(); find()
+//     copy-out stays for callers that hand the schedule to another thread
+//     (StreamEngine).  The small lane copies its ~0.2 KB value type
+//     through the frame's staging words.  A frame's payload buffer is
+//     TYPE-STABLE: it lives until the cache dies (a frame swaps it only
+//     for a larger one), so a reader racing an eviction copies
+//     stale-but-owned memory and the sequence check rejects the result,
+//     and eviction churn at one size allocates nothing.
+//   * CLOCK EVICTION OVER FRAMES: a hit adds 1 to its frame's reference
+//     count, saturating at kMaxRef = 3.  Inserting into a full cache walks
+//     a clock hand over the frames, subtracting 1 from each frame it
+//     passes, and evicts the first frame at 0; the new entry takes the
+//     victim's frame.  The order is a fixed cycle over frames, so an entry
+//     that is never hit is evicted by the capacity-th eviction after its
+//     insert, whatever the interleaving of concurrent inserts.
+//   * FAULT/TRACE BYPASS and QUARANTINE: route() forwards trace/fault
+//     calls to the fused engine (counted in `bypasses`), and
+//     invalidate(digest) frees the frame from whichever lane holds it
+//     (counted in `quarantined`) — see docs/RELIABILITY.md.
 //   * PERSISTENCE (core/schedule_store.hpp): save()/load() serialize the
 //     live entries as bnb.schedstore.v2 (versioned, CRC-per-record; save
 //     writes a temp file, fsyncs it and renames it over the old store),
 //     and warm_start() memory-maps a store read-only so the first request
 //     after a process restart replays at warm speed — a table miss
-//     consults the mmap index, CRC-checks the one record it needs, and
-//     promotes it into the table as a hit.
+//     consults the mmap index, CRC-checks the one record it needs,
+//     promotes it into a frame, and reads it back as a hit.
 //
 // The digest is lane-parallel: four independent multiply-fold chains
 // (multiply by a per-lane odd key, fold the high half into the low), each
@@ -65,6 +69,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,6 +93,12 @@ struct PermutationDigest {
 
 [[nodiscard]] PermutationDigest digest_permutation(const Permutation& pi) noexcept;
 
+/// digest_permutation of the permutation whose image is `image`, for an
+/// image not (yet) trusted to be a permutation — e.g. a stored schedule's
+/// input->line map, which for a clean schedule IS the permutation.
+[[nodiscard]] PermutationDigest digest_image(
+    std::span<const std::uint32_t> image) noexcept;
+
 /// Counter snapshot; `entries` is the live entry count.
 struct ScheduleCacheStats {
   std::uint64_t hits = 0;
@@ -102,14 +113,14 @@ struct ScheduleCacheStats {
 
 class ScheduleCache {
  public:
-  /// Cache at most `capacity` schedules in a flat table of the next power
-  /// of two >= 2 * capacity (load factor <= 1/2).  Requires capacity >= 1
-  /// and 1 <= shards <= 256; `shards` is accepted for source compatibility
-  /// with the PR 4 sharded cache and ignored — the flat table has no
-  /// shards, readers are lock-free everywhere.  The cache's counters are
-  /// attached to `registry` (nullptr = the global registry) under the
-  /// bnb_cache_* names for the life of the cache, and folded into the
-  /// registry's own totals at destruction.
+  /// Cache at most `capacity` schedules in `capacity` frames, indexed by a
+  /// table of the next power of two >= 2 * capacity cells (load factor
+  /// <= 1/2).  Requires capacity >= 1 and 1 <= shards <= 256; `shards` is
+  /// accepted for source compatibility with the old sharded cache and
+  /// ignored — there are no shards, readers are lock-free everywhere.
+  /// The cache's counters are attached to `registry` (nullptr = the
+  /// global registry) under the bnb_cache_* names for the life of the
+  /// cache, and folded into the registry's own totals at destruction.
   explicit ScheduleCache(std::size_t capacity, std::size_t shards = 8,
                          obs::MetricsRegistry* registry = nullptr);
   ~ScheduleCache();
@@ -130,7 +141,7 @@ class ScheduleCache {
 
   /// The zero-copy general-lane hit path: probe for `digest` and, on a
   /// live general entry of `plan`'s shape, replay it straight from the
-  /// slot's packed line map (seqlock-validated, allocation-free, no lock).
+  /// frame's packed line map (seqlock-validated, allocation-free, no lock).
   /// Fills `out` and counts a hit on success; counts a miss and returns
   /// false otherwise (absent digest, small-lane entry, shape mismatch, or
   /// a torn read that exhausted its retries).  A warm store attached with
@@ -147,14 +158,15 @@ class ScheduleCache {
   [[nodiscard]] bool find(const PermutationDigest& digest, ControlSchedule& out);
 
   /// Insert (or refresh) a solved schedule — the payload is copied into
-  /// the slot's type-stable buffer; the caller keeps ownership of
-  /// `schedule`.  Evicts (clock/second-chance) when the cache is full.
+  /// the frame's type-stable buffer; the caller keeps ownership of
+  /// `schedule`.  Evicts one frame (clock over frames) when the cache is
+  /// full.
   /// Does not touch the hit/miss counters.
   void insert(const PermutationDigest& digest, const ControlSchedule& schedule);
 
   /// Small-lane lookup: copy the cached SmallSchedule into `out` through
-  /// the slot's staging words (seqlock-validated value copy — no
-  /// allocation, no lock), set the reference bit, and count a hit.
+  /// the frame's staging words (seqlock-validated value copy — no
+  /// allocation, no lock), bump the reference count, and count a hit.
   /// Counts a miss and returns false when the digest is absent or held by
   /// the general lane; a warm store is consulted first.
   [[nodiscard]] bool find_small(const PermutationDigest& digest, SmallSchedule& out);
@@ -166,13 +178,13 @@ class ScheduleCache {
   /// Count one fault/trace bypass (route() calls this automatically).
   void record_bypass() noexcept { bypasses_.inc(); }
 
-  /// Quarantine `digest`: tombstone its slot in whichever lane holds it
+  /// Quarantine `digest`: free its frame in whichever lane holds it
   /// and count it in bnb_cache_quarantined_total.  The resilience layer
   /// calls this on every fault diagnosis and failed replay audit, so a
   /// schedule that might have been solved against a damaged fabric can
   /// never be served again.  Returns true when an entry was actually
   /// dropped; a miss leaves every counter untouched.  Safe against
-  /// concurrent readers: a reader mid-replay on the dying slot fails its
+  /// concurrent readers: a reader mid-replay on the dying frame fails its
   /// sequence check and re-solves.
   bool invalidate(const PermutationDigest& digest);
 
@@ -221,98 +233,91 @@ class ScheduleCache {
 
  private:
   static constexpr std::size_t kSmallWords = (sizeof(SmallSchedule) + 7) / 8;
-  static constexpr std::uint32_t kFree = 0;
-  static constexpr std::uint32_t kLive = 1;
-  static constexpr std::uint32_t kTombstone = 2;
+  static constexpr std::uint32_t kEmpty = 0;  ///< Frame::lane of a free frame
   static constexpr std::uint32_t kLaneGeneral = 1;
   static constexpr std::uint32_t kLaneSmall = 2;
+  /// Id-table cells: 0 = never used, 1 = tombstone, else frame id + 2.
+  static constexpr std::uint32_t kFreeCell = 0;
+  static constexpr std::uint32_t kTombstone = 1;
+  static constexpr std::uint32_t kFirstId = 2;
+  /// A hit adds 1 to its frame's reference count, up to this limit.
+  static constexpr std::uint32_t kMaxRef = 3;
   /// Seqlock read attempts before a torn read degrades to a miss.
   static constexpr int kReadAttempts = 8;
 
-  /// One table slot.  Every field a reader touches is an atomic accessed
+  /// One entry frame.  Every field a reader touches is an atomic accessed
   /// with relaxed ordering inside the seqlock window; `seq` carries the
   /// acquire/release edges.  The general payload lives in a type-stable
   /// buffer: word 0 is the immutable payload capacity, then the packed
   /// controls (g_columns * g_control_words words), then the input->line
   /// map packed two u32 lines per word.  The small payload is staged in
   /// place as raw SmallSchedule bytes.
-  struct Slot {
+  struct Frame {
     std::atomic<std::uint32_t> seq{0};    ///< even = stable, odd = writer inside
-    std::atomic<std::uint32_t> state{kFree};
-    std::atomic<std::uint32_t> lane{0};
-    std::atomic<std::uint32_t> ref{0};    ///< clock/second-chance reference bit
+    std::atomic<std::uint32_t> lane{kEmpty};
+    std::atomic<std::uint32_t> ref{0};    ///< clock reference count, <= kMaxRef
+    std::atomic<std::uint32_t> g_m{0};
     std::atomic<std::uint64_t> digest_lo{0};
     std::atomic<std::uint64_t> digest_hi{0};
-    std::atomic<std::uint32_t> g_m{0};
     std::atomic<std::uint32_t> g_columns{0};
     std::atomic<std::uint32_t> g_control_words{0};
     std::atomic<std::atomic<std::uint64_t>*> gbuf{nullptr};
     std::atomic<std::uint64_t> small[kSmallWords] = {};
   };
 
-  /// A live entry lifted out of the table during rehash_locked().
-  struct LiftedEntry {
-    PermutationDigest digest;
-    std::uint32_t lane = 0;
-    std::uint32_t ref = 0;
-    std::uint32_t g_m = 0;
-    std::uint32_t g_columns = 0;
-    std::uint32_t g_control_words = 0;
-    std::atomic<std::uint64_t>* gbuf = nullptr;
-    std::uint64_t small[kSmallWords] = {};
-  };
+  // The one read loop behind replay(), find() and find_small(): probe,
+  // seqlock-validate `copy(frame)` (which returns false on a shape it
+  // cannot use), retry torn reads, bump the reference count and count the
+  // hit; on a table miss promote a warm-store record of `lane` (decoding a
+  // general one through `staging`) and read once more; else count a miss.
+  template <class Copy>
+  [[nodiscard]] bool read(const PermutationDigest& digest, std::uint32_t lane,
+                          ControlSchedule* staging, Copy&& copy);
 
-  // Reader-side probe: the live slot whose digest matches, or nullptr
-  // after a free slot or a full cycle.  Lock-free; `probes` counts slots
-  // visited (recorded into bnb_cache_probe_len by the callers).
-  [[nodiscard]] Slot* probe_reader(const PermutationDigest& digest,
-                                   std::size_t& probes) noexcept;
+  // The frame holding `digest` in `table`, or nullptr after a free cell or
+  // a full cycle; `cell` is set to its cell index.  Lock-free; `probes`
+  // counts cells visited.
+  [[nodiscard]] Frame* find_frame(const std::atomic<std::uint32_t>* table,
+                                  const PermutationDigest& digest, std::size_t& cell,
+                                  std::size_t& probes) const noexcept;
 
   // Writer-side helpers; all require mu_ held.
-  [[nodiscard]] Slot* writer_find_locked(const PermutationDigest& digest) noexcept;
-  [[nodiscard]] Slot* writer_position_locked(const PermutationDigest& digest) noexcept;
-  [[nodiscard]] Slot* writer_claim_locked(const PermutationDigest& digest);
-  void evict_one_locked();
-  void rehash_locked();
-  void free_slot_locked(Slot& slot, std::uint32_t new_state) noexcept;
-  [[nodiscard]] std::atomic<std::uint64_t>* ensure_buffer_locked(Slot& slot,
-                                                                 std::size_t payload_words);
-  void write_general_locked(Slot& slot, const PermutationDigest& digest,
+  [[nodiscard]] Frame& claim_locked(const PermutationDigest& digest);
+  void publish_locked(const PermutationDigest& digest, const Frame& frame);
+  void place_locked(std::atomic<std::uint32_t>* table, const PermutationDigest& digest,
+                    std::uint32_t cell_value) noexcept;
+  void unlink_locked(Frame& frame) noexcept;
+  void release_locked(Frame& frame);
+  void rebuild_table_locked() noexcept;
+  void write_general_locked(Frame& frame, const PermutationDigest& digest,
                             const ControlSchedule& schedule);
-  void write_small_locked(Slot& slot, const PermutationDigest& digest,
+  void write_small_locked(Frame& frame, const PermutationDigest& digest,
                           const SmallSchedule& schedule);
 
-  // Warm-store fallbacks (core/schedule_store.cpp).  Each promotes the
-  // record into the table and counts a hit + a store load on success.
-  [[nodiscard]] bool warm_replay(const CompiledBnb& plan, const PermutationDigest& digest,
-                                 const Permutation& pi, RouteScratch& scratch,
-                                 CompiledBnb::Output& out);
-  [[nodiscard]] bool warm_fetch_general(const PermutationDigest& digest,
-                                        ControlSchedule& out);
-  [[nodiscard]] bool warm_fetch_small(const PermutationDigest& digest,
-                                      SmallSchedule& out);
+  // Warm-store fallback (core/schedule_store.cpp): promote `digest`'s
+  // record of `lane` into a frame and count a store load; false when the
+  // store has no such record or it fails its CRC or shape check.
+  [[nodiscard]] bool promote_warm(const PermutationDigest& digest, std::uint32_t lane,
+                                  ControlSchedule* staging);
 
-  std::size_t capacity_;    ///< max live entries
+  std::size_t capacity_;    ///< frame count = max live entries
   std::size_t table_size_;  ///< power of two >= 2 * capacity_
   std::size_t mask_;        ///< table_size_ - 1
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<Frame[]> frames_;
+  /// Two id tables of table_size_ cells each; table_ names the live one.
+  /// A rebuild fills the other and swaps the pointer.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> cells_;
+  std::atomic<std::atomic<std::uint32_t>*> table_{nullptr};
 
   mutable std::mutex mu_;   ///< single writer lock; readers never take it
   std::size_t live_ = 0;
   std::size_t tombstones_ = 0;
-  std::size_t hand_ = 0;    ///< clock hand (slot index)
+  std::size_t hand_ = 0;    ///< clock hand (frame index)
+  std::vector<std::uint32_t> free_frames_;  ///< empty frame ids, taken from the back
   /// Owns every general payload buffer ever allocated (type-stable: a
   /// buffer is never freed while the cache lives, so lock-free readers can
   /// race evictions safely; the seqlock rejects their stale copies).
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> buffers_;
-  /// Writer-side free list: buffers of buffers_ that no slot holds (a
-  /// rehash detached them from tombstones, or their slot outgrew them).
-  /// ensure_buffer_locked() takes a big-enough spare before allocating, so
-  /// eviction churn recycles a bounded pool instead of growing it.
-  std::vector<std::atomic<std::uint64_t>*> spare_buffers_;
-  /// rehash_locked()'s lift-out area, kept so a rehash allocates nothing
-  /// once it has seen a full table.
-  std::vector<LiftedEntry> rehash_scratch_;
 
   std::unique_ptr<WarmStore> warm_;                       ///< owner
   std::atomic<const WarmStore*> warm_view_{nullptr};      ///< reader view

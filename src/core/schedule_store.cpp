@@ -1,5 +1,5 @@
 // bnb.schedstore.v2 codec + the ScheduleCache persistence entry points
-// (save/load/warm_start and the lock-free warm-store fallbacks).  See
+// (save/load/warm_start and the warm-store promotion).  See
 // schedule_store.hpp for the format contract.
 #include "core/schedule_store.hpp"
 
@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/crc32.hpp"
@@ -74,6 +75,14 @@ bool digest_less(const WarmStore::Record& a, const PermutationDigest& d) noexcep
   return a.digest.hi != d.hi ? a.digest.hi < d.hi : a.digest.lo < d.lo;
 }
 
+/// A clean schedule's input->line map IS its permutation (Thm. 2), so a
+/// record is trusted only when its line map digests to its key: this
+/// covers the record header's digest, which no CRC does.
+bool keyed_by_its_lines(const WarmStore::Record& r,
+                        std::span<const std::uint32_t> lines) {
+  return digest_image(lines) == r.digest;
+}
+
 /// Parse + shape-validate a general record payload into `out`.  Returns
 /// false on any inconsistency (the caller treats that as corruption).
 bool decode_general(const WarmStore::Record& r, ControlSchedule& out) {
@@ -96,6 +105,7 @@ bool decode_general(const WarmStore::Record& r, ControlSchedule& out) {
   for (std::uint32_t j = 0; j < ph.lines; ++j) {
     if (lines[j] >= ph.lines) return false;  // out-of-range line: corrupt
   }
+  if (!keyed_by_its_lines(r, out.line_of_input())) return false;
   out.set_solved(true);
   return true;
 }
@@ -107,7 +117,15 @@ SmallSchedule decode_small(const WarmStore::Record& r) {
   SmallSchedule::Wire wire;
   std::memcpy(&wire, r.payload, sizeof(wire));
   if (wire.m != r.m) return SmallSchedule{};
-  return SmallSchedule::from_wire(wire, kernels::active_kernels().small_apply8);
+  const SmallSchedule small =
+      SmallSchedule::from_wire(wire, kernels::active_kernels().small_apply8);
+  if (!small.solved()) return small;
+  std::uint32_t lines[SmallSchedule::kMaxLines];
+  for (std::size_t j = 0; j < small.lines(); ++j) lines[j] = small.line_of_input(j);
+  if (!keyed_by_its_lines(r, std::span<const std::uint32_t>(lines, small.lines()))) {
+    return SmallSchedule{};
+  }
+  return small;
 }
 
 #if BNB_STORE_HAS_MMAP
@@ -252,6 +270,10 @@ WarmStore::WarmStore(const std::string& path) {
     throw schedule_store_error("schedule store: '" + path + "' header CRC mismatch");
   }
   std::size_t off = sizeof(StoreHeader);
+  if (h.record_count > (bytes_ - off) / sizeof(RecordHeader)) {
+    throw schedule_store_error("schedule store: '" + path +
+                               "' claims more records than the file can hold");
+  }
   index_.reserve(h.record_count);
   for (std::uint32_t i = 0; i < h.record_count; ++i) {
     if (off + sizeof(RecordHeader) > bytes_) {
@@ -274,6 +296,11 @@ WarmStore::WarmStore(const std::string& path) {
     r.payload = data_ + off;
     index_.push_back(r);
     off += rh.payload_bytes;
+  }
+  if (off != bytes_) {
+    throw schedule_store_error("schedule store: '" + path + "' has " +
+                               std::to_string(bytes_ - off) +
+                               " bytes after its last record");
   }
   std::sort(index_.begin(), index_.end(), [](const Record& a, const Record& b) {
     return a.digest.hi != b.digest.hi ? a.digest.hi < b.digest.hi
@@ -305,24 +332,25 @@ std::size_t ScheduleCache::save(const std::string& path) {
   std::vector<unsigned char> body;
   std::uint32_t count = 0;
   {
-    // The writer lock freezes the table (readers never mutate payloads);
+    // The writer lock freezes the frames (readers never mutate payloads);
     // relaxed loads below are exact.
     std::scoped_lock lock(mu_);
-    for (std::size_t i = 0; i < table_size_; ++i) {
-      Slot& s = slots_[i];
-      if (s.state.load(std::memory_order_relaxed) != kLive) continue;
+    for (std::size_t id = 0; id < capacity_; ++id) {
+      const Frame& f = frames_[id];
+      const std::uint32_t lane = f.lane.load(std::memory_order_relaxed);
+      if (lane == kEmpty) continue;
       RecordHeader rh = {};
-      rh.digest_lo = s.digest_lo.load(std::memory_order_relaxed);
-      rh.digest_hi = s.digest_hi.load(std::memory_order_relaxed);
+      rh.digest_lo = f.digest_lo.load(std::memory_order_relaxed);
+      rh.digest_hi = f.digest_hi.load(std::memory_order_relaxed);
       std::vector<unsigned char> payload;
-      if (s.lane.load(std::memory_order_relaxed) == kLaneGeneral) {
-        const std::uint32_t m = s.g_m.load(std::memory_order_relaxed);
+      if (lane == kLaneGeneral) {
+        const std::uint32_t m = f.g_m.load(std::memory_order_relaxed);
         GeneralPayloadHeader ph = {};
-        ph.columns = s.g_columns.load(std::memory_order_relaxed);
-        ph.control_words = s.g_control_words.load(std::memory_order_relaxed);
+        ph.columns = f.g_columns.load(std::memory_order_relaxed);
+        ph.control_words = f.g_control_words.load(std::memory_order_relaxed);
         ph.lines = std::uint32_t{1} << m;
         const std::size_t ctl_words = std::size_t{ph.columns} * ph.control_words;
-        const std::atomic<std::uint64_t>* buf = s.gbuf.load(std::memory_order_relaxed);
+        const std::atomic<std::uint64_t>* buf = f.gbuf.load(std::memory_order_relaxed);
         payload.reserve(sizeof(ph) + ctl_words * 8 + std::size_t{ph.lines} * 4);
         append_bytes(payload, &ph, sizeof(ph));
         for (std::size_t w = 0; w < ctl_words; ++w) {
@@ -332,10 +360,9 @@ std::size_t ScheduleCache::save(const std::string& path) {
         const std::atomic<std::uint64_t>* packed = buf + 1 + ctl_words;
         for (std::uint32_t j = 0; j < ph.lines; j += 2) {
           const std::uint64_t word = packed[j >> 1].load(std::memory_order_relaxed);
-          const auto lo = static_cast<std::uint32_t>(word);
-          const auto hi = static_cast<std::uint32_t>(word >> 32);
-          append_bytes(payload, &lo, 4);
-          if (j + 1 < ph.lines) append_bytes(payload, &hi, 4);
+          const std::uint32_t pair[2] = {static_cast<std::uint32_t>(word),
+                                         static_cast<std::uint32_t>(word >> 32)};
+          append_bytes(payload, pair, sizeof(pair));
         }
         rh.kind = WarmStore::kGeneralRecord;
         rh.m = m;
@@ -344,7 +371,7 @@ std::size_t ScheduleCache::save(const std::string& path) {
         // (the apply8 binding never leaves the process).
         std::uint64_t words[kSmallWords];
         for (std::size_t w = 0; w < kSmallWords; ++w) {
-          words[w] = s.small[w].load(std::memory_order_relaxed);
+          words[w] = f.small[w].load(std::memory_order_relaxed);
         }
         SmallSchedule small;
         std::memcpy(&small, words, sizeof(small));
@@ -436,50 +463,23 @@ std::size_t ScheduleCache::warm_start(const std::string& path) {
   return n;
 }
 
-bool ScheduleCache::warm_fetch_general(const PermutationDigest& digest,
-                                       ControlSchedule& out) {
+bool ScheduleCache::promote_warm(const PermutationDigest& digest, std::uint32_t lane,
+                                 ControlSchedule* staging) {
   const WarmStore* ws = warm_view_.load(std::memory_order_acquire);
   if (ws == nullptr) return false;
   const WarmStore::Record* r = ws->lookup(digest);
-  if (r == nullptr || r->kind != WarmStore::kGeneralRecord) return false;
-  if (!ws->verify(*r) || !decode_general(*r, out)) return false;  // corrupt -> miss
-  insert(digest, out);  // promote: later lookups hit in RAM
-  hits_.inc();
-  store_loaded_.inc();
-  return true;
-}
-
-bool ScheduleCache::warm_replay(const CompiledBnb& plan, const PermutationDigest& digest,
-                                const Permutation& pi, RouteScratch& scratch,
-                                CompiledBnb::Output& out) {
-  const WarmStore* ws = warm_view_.load(std::memory_order_acquire);
-  if (ws == nullptr) return false;
-  const WarmStore::Record* r = ws->lookup(digest);
-  if (r == nullptr || r->kind != WarmStore::kGeneralRecord) return false;
-  // Shape the scratch BEFORE decoding into its schedule slot: apply() would
-  // otherwise re-prepare an unshaped scratch and wipe the decoded schedule.
-  scratch.prepare(plan);
-  ControlSchedule& sched = scratch.schedule_slot();
-  if (!ws->verify(*r) || !decode_general(*r, sched)) return false;  // corrupt -> miss
-  if (!sched.prepared_for(plan)) return false;  // wrong shape for this plan
-  out = plan.apply(sched, pi, scratch);
-  insert(digest, sched);  // promote: the next replay() hits the flat table
-  hits_.inc();
-  store_loaded_.inc();
-  return true;
-}
-
-bool ScheduleCache::warm_fetch_small(const PermutationDigest& digest, SmallSchedule& out) {
-  const WarmStore* ws = warm_view_.load(std::memory_order_acquire);
-  if (ws == nullptr) return false;
-  const WarmStore::Record* r = ws->lookup(digest);
-  if (r == nullptr || r->kind != WarmStore::kSmallRecord) return false;
-  if (!ws->verify(*r)) return false;  // corrupt -> miss
-  SmallSchedule small = decode_small(*r);
-  if (!small.solved()) return false;
-  out = small;
-  insert_small(digest, small);  // promote
-  hits_.inc();
+  const std::uint32_t kind =
+      lane == kLaneGeneral ? WarmStore::kGeneralRecord : WarmStore::kSmallRecord;
+  // Absent, the other lane's, or corrupt: a miss.
+  if (r == nullptr || r->kind != kind || !ws->verify(*r)) return false;
+  if (lane == kLaneGeneral) {
+    if (!decode_general(*r, *staging)) return false;
+    insert(digest, *staging);
+  } else {
+    const SmallSchedule small = decode_small(*r);
+    if (!small.solved()) return false;
+    insert_small(digest, small);
+  }
   store_loaded_.inc();
   return true;
 }

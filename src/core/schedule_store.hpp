@@ -37,11 +37,17 @@
 // so a crash or a failed write at any step leaves the previous store
 // intact (a failed save removes its temp file and throws).
 //
+// A record header carries no CRC of its own.  Its digest is checked
+// against the payload instead: a clean schedule's input->line map IS its
+// permutation (Thm. 2), so a record is used only when its line map
+// digests to its key.  A file must end exactly after its last record.
+//
 // load() verifies everything up front and throws schedule_store_error on
 // the first inconsistency — a corrupt store never half-loads silently.
 // warm_start() validates the header and record BOUNDS up front but defers
-// payload CRCs to first use; a record that fails its lazy check degrades to
-// an ordinary cache miss (the fabric re-solves), never an error.
+// payload CRC and key checks to first use; a record that fails them
+// degrades to an ordinary cache miss (the fabric re-solves), never an
+// error.
 #pragma once
 
 #include <cstdint>

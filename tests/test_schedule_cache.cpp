@@ -3,8 +3,10 @@
 // kernel tier this host supports — schedules are tier-invariant, so one
 // cache may even serve plans pinned to different tiers), fault overlays
 // and ControlTrace capture must BYPASS the cache (fault semantics are
-// never served from, or recorded into, it), clock/second-chance eviction
-// must spare recently-hit entries, warm hits in BOTH lanes must be
+// never served from, or recorded into, it), clock eviction over frames
+// must spare recently-hit entries and evict an untouched one within
+// `capacity` inserts (no table rebuild lets it escape), warm hits in BOTH
+// lanes must be
 // allocation-free, and one cache must stay coherent under concurrent
 // mixed hit/miss traffic and under invalidate() racing a reader storm
 // (the seqlock proof, run under the tsan preset).
@@ -76,6 +78,15 @@ void expect_cached_equivalence(unsigned m, const Permutation& pi) {
 }
 
 // ---- digest ------------------------------------------------------------
+
+/// splitmix64 finalizer, for spreading synthetic digests over the table.
+std::uint64_t mix_for_test(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
 
 bool digest_less(const PermutationDigest& x, const PermutationDigest& y) {
   return x.hi != y.hi ? x.hi < y.hi : x.lo < y.lo;
@@ -255,12 +266,11 @@ TEST(ScheduleCache, TraceRoutesBypassTheCache) {
 // ---- clock eviction ----------------------------------------------------
 
 TEST(ScheduleCache, ClockEvictionSparesTouchedEntriesAndEvictsOneUntouched) {
-  // Second-chance semantics: a hit sets an entry's reference bit, and the
-  // eviction sweep skips referenced entries (clearing the bit) before
-  // reclaiming the first unreferenced one.  Unlike strict LRU the victim's
-  // identity depends on table layout, so the contract pinned here is the
-  // one callers can rely on: the touched entry survives, exactly one
-  // untouched entry is reclaimed.
+  // Clock over frames: a hit adds 1 to an entry's reference count, and the
+  // hand takes 1 from each frame it passes, evicting the first one already
+  // at 0.  Entries fill frames in insertion order and the hand starts at
+  // frame 0, so the victim is exactly the oldest untouched entry: the
+  // touched pool[0] is passed over and pool[1] is evicted.
   Rng rng(0xCAC4E05);
   const unsigned m = 4;
   const CompiledBnb plan(m);
@@ -273,24 +283,80 @@ TEST(ScheduleCache, ClockEvictionSparesTouchedEntriesAndEvictsOneUntouched) {
   ASSERT_EQ(cache.size(), 4U);
   ASSERT_EQ(cache.stats().evictions, 0U);
 
-  // Touch pool[0] (sets its reference bit), then overflow with pool[4].
+  // Touch pool[0] (its count goes to 1), then overflow with pool[4].
   (void)cache.route(plan, pool[0], scratch);
   EXPECT_EQ(cache.stats().hits, 1U);
   (void)cache.route(plan, pool[4], scratch);
   EXPECT_EQ(cache.stats().evictions, 1U);
   EXPECT_EQ(cache.size(), 4U);
 
-  // The touched entry survived the sweep ...
-  const auto before = cache.stats();
-  (void)cache.route(plan, pool[0], scratch);
-  EXPECT_EQ(cache.stats().hits, before.hits + 1);
-  // ... and exactly one of the untouched entries was reclaimed.
+  // The victim is pool[1]; every other entry is still resident.
   SmallSchedule probe;
-  int missing = 0;
-  for (int i = 1; i <= 3; ++i) {
-    if (!cache.find_small(digest_permutation(pool[i]), probe)) ++missing;
+  EXPECT_FALSE(cache.find_small(digest_permutation(pool[1]), probe))
+      << "the oldest untouched entry must be the one evicted";
+  for (const int i : {0, 2, 3, 4}) {
+    EXPECT_TRUE(cache.find_small(digest_permutation(pool[i]), probe))
+        << "pool[" << i << "]";
   }
-  EXPECT_EQ(missing, 1) << "exactly one untouched entry must have been evicted";
+}
+
+/// `count` distinct synthetic digests (the table never sees a payload's
+/// permutation, only its digest).
+std::vector<PermutationDigest> synthetic_digests(std::size_t count) {
+  std::vector<PermutationDigest> out;
+  for (std::uint64_t k = 1; k <= count; ++k) {
+    out.push_back(PermutationDigest{mix_for_test(k), k * 0x9E3779B97F4A7C15ULL});
+  }
+  return out;
+}
+
+TEST(ScheduleCache, UnreferencedEntryIsGoneAfterCapacityInserts) {
+  // The age bound: with no hits, every insert into a full cache evicts,
+  // and an entry is evicted by the capacity-th eviction after its insert —
+  // so the digest inserted `capacity` inserts ago is always gone.  Enough
+  // inserts run to rebuild the id table many times over; a rebuild must
+  // not let any entry escape the hand.
+  const CompiledBnb plan(4);
+  RouteScratch scratch;
+  Rng rng(0xCAC4E11);
+  const SmallSchedule schedule = plan.compile_small(random_perm(16, rng), scratch);
+  for (const std::size_t capacity : {1, 3, 16, 100, 256}) {
+    SCOPED_TRACE(testing::Message() << "capacity=" << capacity);
+    ScheduleCache cache(capacity, /*shards=*/1);
+    const auto digests = synthetic_digests(12 * capacity + 40);
+    std::size_t survivors = 0;
+    SmallSchedule probe;
+    for (std::size_t i = 0; i < digests.size(); ++i) {
+      cache.insert_small(digests[i], schedule);
+      if (i >= capacity && cache.find_small(digests[i - capacity], probe)) ++survivors;
+    }
+    EXPECT_EQ(survivors, 0U) << "entries outlived capacity inserts without a hit";
+    EXPECT_EQ(cache.stats().hits, 0U);
+    EXPECT_EQ(cache.stats().evictions, digests.size() - capacity);
+    EXPECT_EQ(cache.size(), capacity);
+  }
+}
+
+TEST(ScheduleCache, CyclingMoreDigestsThanCapacityNeverHits) {
+  // 1024 distinct digests cycled through a 256-entry cache: each digest
+  // comes back after 1023 other inserts, far past the age bound, so no
+  // lookup may ever hit (FIFO, LRU and CLOCK all agree on 0).
+  const CompiledBnb plan(4);
+  RouteScratch scratch;
+  Rng rng(0xCAC4E12);
+  const SmallSchedule schedule = plan.compile_small(random_perm(16, rng), scratch);
+  ScheduleCache cache(256, /*shards=*/1);
+  const auto digests = synthetic_digests(1024);
+  SmallSchedule probe;
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    for (const PermutationDigest& d : digests) {
+      if (!cache.find_small(d, probe)) cache.insert_small(d, schedule);
+    }
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0U);
+  EXPECT_EQ(stats.misses, 100U * digests.size());
+  EXPECT_EQ(stats.evictions, 100U * digests.size() - 256);
 }
 
 TEST(ScheduleCache, ClearDropsEntriesAndKeepsCounters) {
@@ -310,11 +376,15 @@ TEST(ScheduleCache, ClearDropsEntriesAndKeepsCounters) {
 // ---- concurrency -------------------------------------------------------
 
 TEST(ScheduleCache, ConcurrentMixedHitMissTrafficStaysCoherent) {
-  // One small sharded cache, several threads hammering an overlapping pool
-  // larger than capacity: constant hits, misses, racing inserts of the
-  // same digest, and evictions — every delivered result must still equal
-  // the cold reference.  Run under the tsan preset, this is the data-race
-  // proof for the sharded LRU.
+  // One small cache, several threads hammering an overlapping pool larger
+  // than capacity: constant hits, misses, racing inserts of the same
+  // digest, and evictions — every delivered result must still equal the
+  // cold reference.  Each thread routes every permutation twice in a row,
+  // so its second route hits unless capacity-many evictions intervene
+  // (the clock evicts an untouched entry no sooner than that); the walk
+  // over the pool between repeats is longer than the capacity, so misses
+  // and evictions never stop.  Run under the tsan preset, this is the
+  // data-race proof for the seqlock frames.
   Rng rng(0xCAC4E07);
   const unsigned m = 6;
   const std::size_t n = std::size_t{1} << m;
@@ -340,7 +410,9 @@ TEST(ScheduleCache, ConcurrentMixedHitMissTrafficStaysCoherent) {
     workers.emplace_back([&, t] {
       RouteScratch scratch;
       for (int i = 0; i < kIters; ++i) {
-        const std::size_t idx = (static_cast<std::size_t>(t) * 7 + i * 13) % pool_size;
+        const std::size_t idx =
+            (static_cast<std::size_t>(t) * 7 + static_cast<std::size_t>(i / 2) * 13) %
+            pool_size;
         const auto out = cache.route(plan, pool[idx], scratch);
         for (std::size_t j = 0; j < n; ++j) {
           if (out.dest[j] != want[idx][j]) {
@@ -366,7 +438,7 @@ TEST(ScheduleCache, ConcurrentMixedHitMissTrafficStaysCoherent) {
 // ---- small lane --------------------------------------------------------
 
 TEST(ScheduleCache, SmallLaneFindInsertRoundTripAndCrossLaneMiss) {
-  // find_small/insert_small share the LRU entries and counters with the
+  // find_small/insert_small share the frames and counters with the
   // general lane; a digest held by one lane is a counted miss for the
   // other (never a type confusion).
   Rng rng(0xCAC4E08);
@@ -415,7 +487,7 @@ TEST(ScheduleCache, SmallLaneRouteCountsHitsMissesAndEvictions) {
   const std::size_t n = std::size_t{1} << m;
   const CompiledBnb plan(m);
   RouteScratch scratch;
-  ScheduleCache cache(2, /*shards=*/1);  // tiny: deterministic LRU eviction
+  ScheduleCache cache(2, /*shards=*/1);  // tiny: the victim is predictable
 
   const Permutation a = random_perm(n, rng);
   const Permutation b = random_perm(n, rng);
@@ -424,9 +496,9 @@ TEST(ScheduleCache, SmallLaneRouteCountsHitsMissesAndEvictions) {
   (void)cache.route(plan, a, scratch);
   (void)cache.route(plan, b, scratch);
   EXPECT_EQ(cache.stats().misses, 2U);
-  (void)cache.route(plan, a, scratch);  // hit; promotes a, leaves b as LRU
+  (void)cache.route(plan, a, scratch);  // hit: the hand passes over a once
   EXPECT_EQ(cache.stats().hits, 1U);
-  (void)cache.route(plan, c, scratch);  // full shard: evicts b
+  (void)cache.route(plan, c, scratch);  // full: evicts b, the untouched one
   EXPECT_EQ(cache.stats().evictions, 1U);
   (void)cache.route(plan, b, scratch);  // evicted: misses again
   EXPECT_EQ(cache.stats().misses, 4U);
@@ -575,10 +647,9 @@ TEST(ScheduleCache, GeneralLaneWarmHitsAllocateNothing) {
 }
 
 TEST(ScheduleCache, EvictionChurnRecyclesPayloadBuffers) {
-  // Under eviction churn a rehash detaches the buffers of tombstoned slots.
-  // They go on a writer-side free list that later inserts draw from, so
-  // steady-state churn allocates (almost) nothing instead of one buffer
-  // per insert.
+  // A frame keeps its payload buffer for the cache's whole life and a new
+  // entry takes its victim's frame, so steady-state churn at one schedule
+  // size allocates (almost) nothing instead of one buffer per insert.
   Rng rng(0xCAC4E10);
   const unsigned m = 8;
   const CompiledBnb plan(m);
@@ -595,7 +666,7 @@ TEST(ScheduleCache, EvictionChurnRecyclesPayloadBuffers) {
       cache.insert(PermutationDigest{next * 0x9E3779B97F4A7C15ULL, next}, solved);
     }
   };
-  churn(20 * capacity);  // warm-up: fill, evict, rehash several times
+  churn(20 * capacity);  // warm-up: fill, evict, rebuild the id table
   const std::size_t inserts = 20 * capacity;
   const auto evictions_before = cache.stats().evictions;
   testhook::reset_allocation_count();
@@ -606,7 +677,7 @@ TEST(ScheduleCache, EvictionChurnRecyclesPayloadBuffers) {
   EXPECT_LT(allocations * 20, inserts)
       << allocations << " allocations over " << inserts << " evicting inserts";
 
-  // The recycled buffers still carry the right schedules.
+  // The reused buffers still carry the right schedules.
   const Permutation pi = random_perm(plan.inputs(), rng);
   const PermutationDigest digest = digest_permutation(pi);
   (void)cache.route(plan, pi, scratch);

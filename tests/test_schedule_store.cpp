@@ -12,6 +12,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -310,6 +311,164 @@ TEST(ScheduleStore, WarmStoreLookupAndVerifyDirectly) {
   EXPECT_TRUE(store.verify(*rs));
 
   EXPECT_EQ(store.lookup(PermutationDigest{1, 2}), nullptr);
+}
+
+// ---- mutation battery ---------------------------------------------------
+
+/// Write `bytes` as a store and open it both ways.  load() must refuse it
+/// with nothing inserted; warm_start() must refuse it or serve only right
+/// routes — hits from intact records, counted misses (and re-solves) for
+/// damaged ones.
+void expect_refused_and_never_misroutes(const Fixture& fx,
+                                        const std::vector<unsigned char>& bytes,
+                                        const std::string& what) {
+  const std::string path = temp_path("mutant.bnbstore");
+  write_file(path, bytes);
+  ScheduleCache loaded(8);
+  EXPECT_THROW((void)loaded.load(path), schedule_store_error) << what;
+  EXPECT_EQ(loaded.size(), 0U) << what;
+  EXPECT_EQ(loaded.stats().store_loaded, 0U) << what;
+
+  ScheduleCache warm(8);
+  try {
+    (void)warm.warm_start(path);
+  } catch (const schedule_store_error&) {
+    return;
+  }
+  const CompiledBnb general_plan(7);
+  const CompiledBnb small_plan(5);
+  RouteScratch scratch;
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass reads what the first promoted
+    const auto g = warm.route(general_plan, fx.general_pi, scratch);
+    ASSERT_TRUE(std::equal(g.dest.begin(), g.dest.end(), fx.general_want.begin()))
+        << what << ": warm_start served a wrong general route";
+    const auto s = warm.route(small_plan, fx.small_pi, scratch);
+    ASSERT_TRUE(std::equal(s.dest.begin(), s.dest.end(), fx.small_want.begin()))
+        << what << ": warm_start served a wrong small route";
+  }
+  const auto stats = warm.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 4U) << what;
+}
+
+void put_u32(std::vector<unsigned char>& bytes, std::size_t at, std::uint32_t value) {
+  std::memcpy(bytes.data() + at, &value, 4);
+}
+
+std::uint32_t get_u32(const std::vector<unsigned char>& bytes, std::size_t at) {
+  std::uint32_t value;
+  std::memcpy(&value, bytes.data() + at, 4);
+  return value;
+}
+
+/// Offsets of the record headers of a well-formed store.
+std::vector<std::size_t> record_offsets(const std::vector<unsigned char>& bytes) {
+  std::vector<std::size_t> out;
+  for (std::size_t off = 32; off < bytes.size(); off += 32 + get_u32(bytes, off + 24)) {
+    out.push_back(off);
+  }
+  return out;
+}
+
+/// Recompute the header CRC (so a lie in the header is self-consistent).
+void reseal_header(std::vector<unsigned char>& bytes) {
+  put_u32(bytes, 28, crc32(bytes.data(), 28));
+}
+
+/// Recompute record `at`'s payload CRC over its (possibly lied) length,
+/// when that length still fits in the file.
+void reseal_record(std::vector<unsigned char>& bytes, std::size_t at) {
+  const std::size_t length = get_u32(bytes, at + 24);
+  if (at + 32 + length <= bytes.size()) {
+    put_u32(bytes, at + 28, crc32(bytes.data() + at + 32, length));
+  }
+}
+
+TEST(ScheduleStore, MutatedStoresNeverLoadPartiallyOrMisroute) {
+  // A deterministic mutation battery over a store holding both lanes:
+  // every truncation, seeded 1-3 bit flips anywhere, and self-consistent
+  // lies (CRCs recomputed) about the record count, each record's payload
+  // length, kind, m and digest, and the offsets inside a general payload.
+  const Fixture fx = make_saved_store("mutation.bnbstore", 0x5702E09);
+  const std::vector<unsigned char> good = read_file(fx.path);
+  const std::vector<std::size_t> records = record_offsets(good);
+  ASSERT_EQ(records.size(), 2U);
+
+  for (std::size_t length = 0; length < good.size(); ++length) {
+    expect_refused_and_never_misroutes(
+        fx, std::vector<unsigned char>(good.begin(), good.begin() + length),
+        "truncated to " + std::to_string(length));
+  }
+
+  Rng rng(0x5702E0A);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<unsigned char> bytes = good;
+    const int flips = 1 + static_cast<int>(rng.below(3));
+    std::string what = "flipped bits";
+    for (int f = 0; f < flips; ++f) {
+      const std::size_t bit = rng.below(8 * bytes.size());
+      bytes[bit / 8] ^= static_cast<unsigned char>(1U << (bit % 8));
+      what += ' ';
+      what += std::to_string(bit);
+    }
+    if (bytes == good) continue;  // two flips of one bit cancel
+    expect_refused_and_never_misroutes(fx, bytes, what);
+  }
+
+  for (const std::uint32_t count : {0U, 1U, 3U, 1000U, 0x7FFFFFFFU, 0xFFFFFFFFU}) {
+    std::vector<unsigned char> bytes = good;
+    put_u32(bytes, 20, count);
+    reseal_header(bytes);
+    expect_refused_and_never_misroutes(fx, bytes,
+                                       "record count " + std::to_string(count));
+  }
+
+  for (const std::size_t at : records) {
+    const std::uint32_t length = get_u32(good, at + 24);
+    const std::string record = "record at " + std::to_string(at);
+    for (const std::uint32_t lie :
+         {0U, 8U, length - 8, length + 8, length + 16, 0xFFFFFFF8U}) {
+      std::vector<unsigned char> bytes = good;
+      put_u32(bytes, at + 24, lie);
+      reseal_record(bytes, at);
+      expect_refused_and_never_misroutes(
+          fx, bytes, record + " payload_bytes " + std::to_string(lie));
+    }
+    for (const std::uint32_t kind : {0U, 1U, 2U, 3U}) {
+      if (kind == get_u32(good, at + 16)) continue;
+      std::vector<unsigned char> bytes = good;
+      put_u32(bytes, at + 16, kind);
+      expect_refused_and_never_misroutes(fx, bytes,
+                                         record + " kind " + std::to_string(kind));
+    }
+    for (const std::uint32_t m : {0U, 4U, 5U, 6U, 7U, 8U, 26U}) {
+      if (m == get_u32(good, at + 20)) continue;
+      std::vector<unsigned char> bytes = good;
+      put_u32(bytes, at + 20, m);
+      expect_refused_and_never_misroutes(fx, bytes, record + " m " + std::to_string(m));
+    }
+    if (get_u32(good, at + 16) == WarmStore::kGeneralRecord) {
+      // {columns, control_words, lines} place the line map in the payload.
+      for (const std::size_t field : {0U, 4U, 8U}) {
+        const std::uint32_t truth = get_u32(good, at + 32 + field);
+        for (const std::uint32_t lie : {0U, truth - 1, truth + 1, 2 * truth}) {
+          std::vector<unsigned char> bytes = good;
+          put_u32(bytes, at + 32 + field, lie);
+          reseal_record(bytes, at);
+          expect_refused_and_never_misroutes(fx, bytes,
+                                             record + " payload field " +
+                                                 std::to_string(field) + " = " +
+                                                 std::to_string(lie));
+        }
+      }
+    }
+  }
+
+  // The two records' digests swapped: every CRC still holds, but each
+  // schedule now claims the other's permutation.
+  std::vector<unsigned char> swapped = good;
+  std::memcpy(swapped.data() + records[0], good.data() + records[1], 16);
+  std::memcpy(swapped.data() + records[1], good.data() + records[0], 16);
+  expect_refused_and_never_misroutes(fx, swapped, "digests swapped");
 }
 
 }  // namespace

@@ -221,6 +221,48 @@ TEST(StreamEngine, CacheTurnsRepeatedTrafficIntoHits) {
   }
 }
 
+TEST(StreamEngine, PipelinedAndInlineCacheCountsAgreeOnALongReuseStream) {
+  // A stream of distinct permutations cycled so that each comes back only
+  // after more than capacity + ring depth other items.  The pipelined
+  // solvers may look up and insert in any interleaving, but the clock
+  // evicts an entry that is never hit within `capacity` inserts, so no
+  // lookup may hit and both runs must report the same cache counters.
+  const unsigned m = 7;
+  const CompiledBnb plan(m);
+  const std::size_t capacity = 32;
+  const std::size_t ring_depth = 8;
+  const auto pool = random_pool(m, 2 * (capacity + ring_depth), 0x57E08);
+  std::vector<Permutation> stream;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    stream.insert(stream.end(), pool.begin(), pool.end());
+  }
+
+  ScheduleCache inline_cache(capacity, /*shards=*/1);
+  ScheduleCache pipelined_cache(capacity, /*shards=*/1);
+  StreamEngine::Options options;
+  options.ring_depth = ring_depth;
+  options.threads = 1;
+  options.cache = &inline_cache;
+  const auto a = StreamEngine(plan, options).run(stream);
+  options.threads = 4;
+  options.cache = &pipelined_cache;
+  const auto b = StreamEngine(plan, options).run(stream);
+  EXPECT_EQ(a.dest, b.dest);
+
+  const ScheduleCacheStats x = inline_cache.stats();
+  const ScheduleCacheStats y = pipelined_cache.stats();
+  EXPECT_EQ(x.hits, 0U);
+  EXPECT_EQ(y.hits, 0U);
+  EXPECT_EQ(x.misses, y.misses);
+  EXPECT_EQ(x.misses, stream.size());
+  EXPECT_EQ(x.evictions, y.evictions);
+  EXPECT_EQ(x.entries, y.entries);
+  EXPECT_EQ(x.bypasses, y.bypasses);
+  EXPECT_EQ(x.quarantined, y.quarantined);
+  EXPECT_EQ(a.stats.cache_hits, b.stats.cache_hits);
+  EXPECT_EQ(a.stats.solved, b.stats.solved);
+}
+
 TEST(StreamEngine, FirstErrorWinsNamesTheFailingIndex) {
   const unsigned m = 5;
   const CompiledBnb plan(m);
