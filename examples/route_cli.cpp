@@ -13,7 +13,8 @@
 //   route_cli --inject random:3 --rounds 20 64
 //                             # damage a 64-line fabric with 3 random faults
 //                             # and stream 20 random permutations through the
-//                             # RobustRouter (audit + retry + fallback)
+//                             # ResilientRouter (audit, retry, diagnose,
+//                             # spare-plane fallback, circuit breaker)
 //   route_cli --inject stuck1:0.0.0.0 16
 //                             # one stuck-at-1 switch control at main stage 0,
 //                             # BSN column 0, splitter 0, switch 0
@@ -64,7 +65,7 @@
 //
 // Exit code 0 iff the permutation(s) were routed (always, for valid input);
 // under --inject, 0 iff no route ended in a SILENT misroute — caught-and-
-// healed faults still exit 0, that is the point of the robust layer.
+// healed faults still exit 0, that is the point of the recovery ladder.
 #include <algorithm>
 #include <bit>
 #include <cstdio>
@@ -90,7 +91,7 @@
 #include "fabric/stream_engine.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault_model.hpp"
-#include "fault/robust_router.hpp"
+#include "fault/resilience.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -232,7 +233,9 @@ bool parse_inject_spec(const std::string& spec, std::uint64_t seed,
 }
 
 // --inject SPEC: damage the fabric, then stream random permutations
-// through the RobustRouter and report the recovery ladder's work.
+// through a cache-less ResilientRouter and report the recovery ladder's
+// work.  Backoff is accounted but not slept, so the campaign runs at
+// routing speed.
 int run_inject(const std::string& spec, std::uint64_t seed, std::size_t rounds,
                std::size_t n) {
   if (!bnb::is_power_of_two(n) || n < 2 || n > (std::size_t{1} << 14)) {
@@ -250,7 +253,9 @@ int run_inject(const std::string& spec, std::uint64_t seed, std::size_t rounds,
     return 2;
   }
 
-  bnb::RobustRouter router(m);
+  bnb::ResilientPolicy policy;
+  policy.sleep_on_backoff = false;
+  bnb::ResilientRouter router(m, policy);
   router.inject(model);
   std::printf("injected %zu fault%s into the %zu-line fabric:\n", model.size(),
               model.size() == 1 ? "" : "s", n);
@@ -258,13 +263,19 @@ int run_inject(const std::string& spec, std::uint64_t seed, std::size_t rounds,
     std::printf("  %s\n", bnb::to_string(f).c_str());
   }
 
+  using Outcome = bnb::ResilientOutcome;
   bnb::Rng rng(seed);
-  std::size_t outcome_counts[4] = {0, 0, 0, 0};
+  std::size_t outcome_counts[5] = {0, 0, 0, 0, 0};
+  std::size_t misroutes_caught = 0;
   bool silent_misroute = false;
   for (std::size_t round = 0; round < rounds; ++round) {
     const bnb::Permutation pi = bnb::random_perm(n, rng);
-    const bnb::RobustReport report = router.route(pi);
+    const bnb::ResilientReport report = router.route(pi);
     ++outcome_counts[static_cast<std::size_t>(report.outcome)];
+    // Every primary attempt but a clean last one was caught by the audit.
+    const bool primary_ok = report.outcome == Outcome::kDelivered ||
+                            report.outcome == Outcome::kDeliveredAfterRetry;
+    misroutes_caught += report.attempts - (primary_ok ? 1 : 0);
     if (report.delivered()) {
       for (std::size_t j = 0; j < n; ++j) {
         if (report.dest[j] != pi(j)) {
@@ -281,22 +292,19 @@ int run_inject(const std::string& spec, std::uint64_t seed, std::size_t rounds,
     }
   }
 
-  const auto& stats = router.stats();
+  const auto count = [&](Outcome outcome) {
+    return outcome_counts[static_cast<std::size_t>(outcome)];
+  };
   std::printf(
       "%zu rounds: %zu clean, %zu healed by retry, %zu by fallback, %zu "
-      "failed\n",
-      rounds,
-      outcome_counts[static_cast<std::size_t>(bnb::RouteOutcome::kDelivered)],
-      outcome_counts[static_cast<std::size_t>(
-          bnb::RouteOutcome::kDeliveredAfterRetry)],
-      outcome_counts[static_cast<std::size_t>(
-          bnb::RouteOutcome::kDeliveredByFallback)],
-      outcome_counts[static_cast<std::size_t>(bnb::RouteOutcome::kFailed)]);
-  std::printf(
-      "audit: %llu misroutes caught, %llu retries, %llu fallback routes\n",
-      static_cast<unsigned long long>(stats.misroutes_caught),
-      static_cast<unsigned long long>(stats.retries),
-      static_cast<unsigned long long>(stats.fallback_routes));
+      "degraded, %zu failed\n",
+      rounds, count(Outcome::kDelivered), count(Outcome::kDeliveredAfterRetry),
+      count(Outcome::kDeliveredByFallback), count(Outcome::kDegraded),
+      count(Outcome::kFailed));
+  std::printf("audit: %zu misroutes caught, %llu retries, breaker %s\n",
+              misroutes_caught,
+              static_cast<unsigned long long>(router.stats().backoffs),
+              bnb::to_string(router.health().state()));
   if (silent_misroute) {
     std::puts("RESULT: SILENT MISROUTE — the robustness contract is broken");
     return 1;

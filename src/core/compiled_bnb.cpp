@@ -820,11 +820,20 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
     }
   };
 
+  // The workers reference this call's stack, so every exit path joins them
+  // (StreamEngine's Crew idiom): a std::thread constructor that throws
+  // after some workers started sets stop, joins those, then rethrows.
   std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(drain);
-  drain();
-  for (auto& th : pool) th.join();
+  try {
+    pool.reserve(workers - 1);
+    for (unsigned t = 1; t < workers; ++t) pool.emplace_back(drain);
+    drain();
+  } catch (...) {
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& th : pool) th.join();
+    throw;
+  }
+  for (std::thread& th : pool) th.join();
 
   if (first_error) {
     std::string what = "route_batch: permutation " +

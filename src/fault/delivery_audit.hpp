@@ -18,7 +18,7 @@
 //               sums the slice checksum in the same pass (the constructor
 //               tabulates the per-index address and payload mixes, 16 B x
 //               N) and classifies every failure into the RouteErrorKind
-//               taxonomy so the RobustRouter can tell transient misroutes
+//               taxonomy so the ResilientRouter can tell transient misroutes
 //               (retry) from structural damage (fall back, diagnose).
 // The report is bit-identical to the classifier's alone for every input.
 // audit() keeps no mutable state, so one const DeliveryAudit may audit

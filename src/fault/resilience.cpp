@@ -1,14 +1,16 @@
 #include "fault/resilience.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <memory>
 #include <thread>
-#include <utility>
 
 #include "common/expect.hpp"
+#include "core/bit_pack.hpp"
+#include "fault/injection.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
+#include "perm/generators.hpp"
 
 namespace bnb {
 namespace {
@@ -18,6 +20,83 @@ namespace {
                                         std::chrono::steady_clock::now().time_since_epoch())
                                         .count());
 }
+
+/// Replays the compiled plan column by column on a private line state so
+/// diagnosis can compare a faulty and a clean fabric at any prefix depth.
+/// Off the hot path: allocation is fine here.
+class PrefixRunner {
+ public:
+  explicit PrefixRunner(const CompiledBnb& plan)
+      : plan_(plan),
+        n_(plan.inputs()),
+        state_(n_),
+        spare_(n_),
+        bits_(bitpack::words_for(n_)),
+        ctl_(plan.control_words()),
+        work_(plan.work_words()) {}
+
+  void reset(const Permutation& pi) {
+    for (std::size_t j = 0; j < n_; ++j) {
+      state_[j] = (std::uint64_t{j} << 32) | pi(j);
+    }
+    column_ = 0;
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& state() const noexcept {
+    return state_;
+  }
+
+  /// Advance exactly one column under `faults`.
+  void step(const EngineFaults* faults) {
+    const CompiledBnb::Column& col = plan_.columns()[column_];
+    if (col.nested_stage == 0) repack_bits(col.main_stage);
+    const ColumnFaultMasks* fcol =
+        faults != nullptr ? faults->column(column_) : nullptr;
+    plan_.column_controls(column_, bits_.data(), ctl_.data(), work_.data(), fcol);
+    if (fcol != nullptr && !fcol->dead.empty()) {
+      const std::uint64_t poison = dead_crosspoint_poison(n_);
+      plan_.visit_dead_crosspoint_hits(*fcol, ctl_.data(), [&](std::size_t line) {
+        state_[line] ^= poison;
+      });
+    }
+    apply_column_to_lines<std::uint64_t>(ctl_.data(), {state_.data(), n_},
+                                         {spare_.data(), n_}, col.group);
+    state_.swap(spare_);
+    ++column_;
+  }
+
+  /// Switch controls the CURRENT column would use, without advancing (the
+  /// bit-slice buffer is copied — column_controls advances it in place).
+  void peek_controls(const EngineFaults* faults,
+                     std::vector<std::uint64_t>& ctl_out) {
+    const CompiledBnb::Column& col = plan_.columns()[column_];
+    if (col.nested_stage == 0) repack_bits(col.main_stage);
+    std::vector<std::uint64_t> bits_copy = bits_;
+    ctl_out.assign(plan_.control_words(), 0);
+    plan_.column_controls(column_, bits_copy.data(), ctl_out.data(), work_.data(),
+                          faults != nullptr ? faults->column(column_) : nullptr);
+  }
+
+ private:
+  void repack_bits(unsigned main_stage) {
+    const unsigned addr_bit = plan_.m() - 1 - main_stage;
+    const std::size_t words = bitpack::words_for(n_);
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t lo = w * 64;
+      const std::size_t hi = std::min(n_, lo + 64);
+      std::uint64_t packed = 0;
+      for (std::size_t t = lo; t < hi; ++t) {
+        packed |= ((state_[t] >> addr_bit) & 1ULL) << (t - lo);
+      }
+      bits_[w] = packed;
+    }
+  }
+
+  const CompiledBnb& plan_;
+  std::size_t n_;
+  std::vector<std::uint64_t> state_, spare_, bits_, ctl_, work_;
+  std::size_t column_ = 0;
+};
 
 }  // namespace
 
@@ -127,21 +206,17 @@ HealthTracker::Stats HealthTracker::stats() const noexcept {
 ResilientRouter::ResilientRouter(unsigned m, ResilientPolicy policy,
                                  ScheduleCache* cache, obs::MetricsRegistry* registry)
     : policy_(policy),
-      // The inner RobustRouter is configured single-attempt: its job here
-      // is ONE audited primary-plane route (transient windows still expire
-      // per attempt); retries, backoff, fallback, and the breaker are this
-      // layer's ladder so backoff can run BETWEEN attempts.
-      robust_(m,
-              RobustPolicy{/*max_retries=*/0, /*fallback_to_behavioral=*/false,
-                           /*diagnose_on_failure=*/false, policy.diagnosis_probes,
-                           policy.probe_seed},
-              registry),
+      engine_(m),
       spare_(m),
       audit_(m),
       cache_(cache),
       health_(policy.breaker, registry),
       registry_(registry != nullptr ? registry : &obs::MetricsRegistry::global()) {
-  scratch_.prepare(robust_.engine());
+  scratch_.prepare(engine_);
+  registry_->attach_counter("bnb_robust_routed_total", &routed_,
+                            "primary-plane ladder attempts delivered clean");
+  registry_->attach_counter("bnb_robust_misroutes_caught_total", &misroutes_caught_,
+                            "primary-plane ladder attempts whose audit failed");
   registry_->attach_counter("bnb_resilient_backoffs_total", &backoffs_,
                             "backoff delays taken before primary retries");
   registry_->attach_counter("bnb_resilient_backoff_ns_total", &backoff_ns_,
@@ -155,16 +230,50 @@ ResilientRouter::ResilientRouter(unsigned m, ResilientPolicy policy,
 }
 
 ResilientRouter::~ResilientRouter() {
+  registry_->detach_counter("bnb_robust_routed_total", &routed_);
+  registry_->detach_counter("bnb_robust_misroutes_caught_total", &misroutes_caught_);
   registry_->detach_counter("bnb_resilient_backoffs_total", &backoffs_);
   registry_->detach_counter("bnb_resilient_backoff_ns_total", &backoff_ns_);
   registry_->detach_counter("bnb_resilient_deadline_exceeded_total", &deadline_exceeded_);
   registry_->detach_counter("bnb_resilient_degraded_total", &degraded_);
   registry_->detach_counter("bnb_resilient_cache_served_total", &cache_served_);
+  // Fold the final totals into the owned counters so the fabric-wide view
+  // stays monotonic across router lifetimes.
+  registry_->counter("bnb_robust_routed_total").inc(routed_.value());
+  registry_->counter("bnb_robust_misroutes_caught_total").inc(misroutes_caught_.value());
   registry_->counter("bnb_resilient_backoffs_total").inc(backoffs_.value());
   registry_->counter("bnb_resilient_backoff_ns_total").inc(backoff_ns_.value());
   registry_->counter("bnb_resilient_deadline_exceeded_total").inc(deadline_exceeded_.value());
   registry_->counter("bnb_resilient_degraded_total").inc(degraded_.value());
   registry_->counter("bnb_resilient_cache_served_total").inc(cache_served_.value());
+}
+
+void ResilientRouter::inject(const FaultModel& model) {
+  BNB_EXPECTS(model.m() == m());
+  overlay_ = compile_engine_faults(model);
+  permanent_ = true;
+  transient_remaining_ = 0;
+}
+
+void ResilientRouter::inject_transient(const FaultModel& model, unsigned attempts) {
+  BNB_EXPECTS(model.m() == m());
+  overlay_ = compile_engine_faults(model);
+  permanent_ = false;
+  transient_remaining_ = attempts;
+}
+
+void ResilientRouter::clear_faults() {
+  overlay_ = EngineFaults{};
+  permanent_ = false;
+  transient_remaining_ = 0;
+}
+
+const EngineFaults* ResilientRouter::overlay_for_attempt() {
+  if (overlay_.empty()) return nullptr;
+  if (permanent_) return &overlay_;
+  if (transient_remaining_ == 0) return nullptr;
+  --transient_remaining_;
+  return &overlay_;
 }
 
 std::uint64_t ResilientRouter::backoff_for(unsigned attempt) const noexcept {
@@ -187,26 +296,42 @@ bool ResilientRouter::deliver_spare(const Permutation& pi, ResilientReport& repo
   return true;
 }
 
+bool ResilientRouter::attempt_primary(const Permutation& pi, ResilientReport& report) {
+  const EngineFaults* overlay = overlay_for_attempt();
+  const CompiledBnb::Output out = engine_.route(pi, scratch_, nullptr, overlay);
+  ++report.attempts;
+  {
+    BNB_OBS_SPAN(audit_span, obs::Phase::kAudit);
+    report.audit = audit_.audit(pi, out.outputs);
+  }
+  if (!report.audit.ok) {
+    misroutes_caught_.inc();
+    return false;
+  }
+  routed_.inc();
+  report.dest.assign(out.dest.begin(), out.dest.end());
+  return true;
+}
+
 bool ResilientRouter::route_fast(const Permutation& pi, const PermutationDigest& digest,
                                  ResilientReport& report) {
-  const CompiledBnb& plan = robust_.engine();
   ++report.attempts;
   bool replay = false;
   CompiledBnb::Output out{};
   SmallSchedule small_sched;
-  if (plan.small_capable()) {
+  if (engine_.small_capable()) {
     replay = cache_->find_small(digest, small_sched);
-    if (!replay) small_sched = plan.compile_small(pi, scratch_);
-    out = plan.apply_small(small_sched, pi, scratch_);
+    if (!replay) small_sched = engine_.compile_small(pi, scratch_);
+    out = engine_.apply_small(small_sched, pi, scratch_);
   } else {
     // A hit replays straight from the cache slot (zero-copy, seqlock
     // validated); only a miss solves into the scratch-owned schedule slot
     // and applies it.
-    replay = cache_->replay(plan, digest, pi, scratch_, out);
+    replay = cache_->replay(engine_, digest, pi, scratch_, out);
     if (!replay) {
       ControlSchedule& sched = scratch_.schedule_slot();
-      plan.solve(pi, scratch_, sched);
-      out = plan.apply(sched, pi, scratch_);
+      engine_.solve(pi, scratch_, sched);
+      out = engine_.apply(sched, pi, scratch_);
     }
   }
   {
@@ -224,10 +349,10 @@ bool ResilientRouter::route_fast(const Permutation& pi, const PermutationDigest&
   if (replay) {
     report.served_from_cache = true;
     cache_served_.inc();
-  } else if (!robust_.has_faults()) {
+  } else if (!has_faults()) {
     // QUARANTINE RULE: only schedules solved on a provably clean fabric
     // (no overlay at all, re-checked after the solve) may enter the cache.
-    if (plan.small_capable()) {
+    if (engine_.small_capable()) {
       cache_->insert_small(digest, small_sched);
     } else {
       cache_->insert(digest, scratch_.schedule_slot());
@@ -268,7 +393,7 @@ ResilientReport ResilientRouter::route(const Permutation& pi) {
   // while no fault overlay exists (quarantine rule; a cleared transient
   // stays suspect until clear_faults()).
   if (gate == HealthTracker::RouteGate::kPrimary && cache_ != nullptr &&
-      !robust_.has_faults()) {
+      !has_faults()) {
     if (route_fast(pi, digest, report)) {
       health_.record_ok();
       report.breaker = health_.state();
@@ -297,13 +422,9 @@ ResilientReport ResilientRouter::route(const Permutation& pi) {
         std::this_thread::sleep_for(std::chrono::nanoseconds(delay));
       }
     }
-    RobustReport attempt_report = robust_.route(pi);
-    ++report.attempts;
-    report.audit = attempt_report.audit;
-    if (attempt_report.delivered()) {
+    if (attempt_primary(pi, report)) {
       report.outcome = attempt == 0 ? ResilientOutcome::kDelivered
                                     : ResilientOutcome::kDeliveredAfterRetry;
-      report.dest = std::move(attempt_report.dest);
       health_.record_ok();
       report.breaker = health_.state();
       return report;
@@ -313,13 +434,105 @@ ResilientReport ResilientRouter::route(const Permutation& pi) {
   // The primary plane persistently misroutes (or the deadline cut the
   // ladder short): localize the damage, feed the breaker, quarantine the
   // digest, and deliver on the audited spare plane.
-  report.diagnosis = robust_.diagnose(pi);
+  report.diagnosis = diagnose(pi);
   health_.record_fault();
   if (cache_ != nullptr) (void)cache_->invalidate(digest);
   report.outcome = deliver_spare(pi, report) ? ResilientOutcome::kDeliveredByFallback
                                              : ResilientOutcome::kFailed;
   report.breaker = health_.state();
   return report;
+}
+
+Diagnosis ResilientRouter::diagnose(const Permutation& pi) const {
+  BNB_OBS_SPAN(obs_span, obs::Phase::kDiagnose);
+  Diagnosis diagnosis;
+  const bool active = permanent_ || transient_remaining_ > 0;
+  if (overlay_.empty() || !active) return diagnosis;
+  const EngineFaults* faults = &overlay_;
+  const std::size_t total = engine_.columns().size();
+
+  PrefixRunner faulty(engine_);
+  PrefixRunner clean(engine_);
+  // State equality after stepping `c` columns both ways; recomputed from
+  // column 0 per query so every probe of the binary search is independent.
+  auto diverged_after = [&](const Permutation& probe, std::size_t c) {
+    faulty.reset(probe);
+    clean.reset(probe);
+    for (std::size_t s = 0; s < c; ++s) {
+      faulty.step(faults);
+      clean.step(nullptr);
+    }
+    return faulty.state() != clean.state();
+  };
+
+  Rng rng(policy_.probe_seed);
+  std::size_t best_column = total;  // sentinel: nothing located yet
+  Permutation best_probe = pi;
+  const unsigned probes = std::max(1U, policy_.diagnosis_probes);
+  for (unsigned q = 0; q < probes; ++q) {
+    const Permutation probe = (q == 0) ? pi : random_perm(inputs(), rng);
+    if (!diverged_after(probe, total)) continue;
+    // Binary search the false->true boundary: P(lo) false, P(hi) true.
+    // Stepping the boundary column diverges two equal states, so that
+    // column carries active fault masks — it IS the faulty column.
+    std::size_t lo = 0;
+    std::size_t hi = total;
+    while (hi - lo > 1) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (diverged_after(probe, mid)) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+    if (hi - 1 < best_column) {
+      best_column = hi - 1;
+      best_probe = probe;
+    }
+  }
+  if (best_column >= total) return diagnosis;  // no probe excited the fault
+
+  const CompiledBnb::Column& col = engine_.columns()[best_column];
+  diagnosis.located = true;
+  diagnosis.column = static_cast<std::uint32_t>(best_column);
+  diagnosis.main_stage = col.main_stage;
+  diagnosis.nested_stage = col.nested_stage;
+
+  // Localize the splitter: first switch whose setting differs between the
+  // faulty and clean fabrics fed the same (pre-divergence) state; if the
+  // settings agree, the damage is on the word path (a dead crosspoint).
+  faulty.reset(best_probe);
+  clean.reset(best_probe);
+  for (std::size_t s = 0; s < best_column; ++s) {
+    faulty.step(faults);
+    clean.step(nullptr);
+  }
+  std::vector<std::uint64_t> ctl_faulty;
+  std::vector<std::uint64_t> ctl_clean;
+  faulty.peek_controls(faults, ctl_faulty);
+  clean.peek_controls(nullptr, ctl_clean);
+  const unsigned switch_shift = col.p - 1;  // sp(p): 2^{p-1} switches each
+  for (std::size_t w = 0; w < ctl_faulty.size(); ++w) {
+    const std::uint64_t diff = ctl_faulty[w] ^ ctl_clean[w];
+    if (diff != 0) {
+      const std::size_t sw = w * 64 + static_cast<std::size_t>(std::countr_zero(diff));
+      diagnosis.splitter = static_cast<std::uint32_t>(sw >> switch_shift);
+      return diagnosis;
+    }
+  }
+  if (const ColumnFaultMasks* fcol = faults->column(best_column)) {
+    bool first = true;
+    engine_.visit_dead_crosspoint_hits(*fcol, ctl_faulty.data(),
+                                       [&](std::size_t line) {
+                                         if (first) {
+                                           diagnosis.splitter =
+                                               static_cast<std::uint32_t>(
+                                                   line >> col.p);
+                                           first = false;
+                                         }
+                                       });
+  }
+  return diagnosis;
 }
 
 ResilientRouter::Stats ResilientRouter::stats() const noexcept {

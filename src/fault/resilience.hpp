@@ -1,12 +1,31 @@
-// Resilience layer — circuit-broken, deadline-bounded routing on a
-// health-tracked fabric (docs/RELIABILITY.md).
+// Resilience layer — self-healing, circuit-broken, deadline-bounded
+// routing on a possibly-faulty, health-tracked BNB fabric
+// (docs/FAULTS.md, docs/RELIABILITY.md).
 //
-// RobustRouter (fault/robust_router.hpp) heals ONE route: retry, diagnose,
-// fall back.  A ResilientRouter manages the fabric ACROSS routes: it owns a
-// per-fabric HealthTracker (a circuit breaker fed by fault diagnoses), a
-// deterministic exponential backoff schedule with a per-request deadline
-// budget, and the cache quarantine contract that keeps fault-era schedules
-// out of the ScheduleCache.  The division of labor:
+// ResilientRouter is the one router of this layer.  Its primary data path
+// is the compiled engine with an injected fault overlay (simulating broken
+// hardware); the behavioral BnbNetwork is the clean spare plane.  The
+// network is self-routing (Thm. 2), so one DeliveryAudit pass checks every
+// delivery (fault/delivery_audit.hpp), and one recovery ladder runs on an
+// audit failure:
+//
+//   1. RETRY on the primary up to max_retries times with deterministic
+//      exponential backoff (min(backoff_initial_ns << (attempt-1),
+//      backoff_max_ns) — no jitter, reproducible under seeded chaos), all
+//      bounded by a per-route deadline_ns budget: when the budget is
+//      exhausted the ladder stops early
+//      (bnb_resilient_deadline_exceeded_total).  Transient faults
+//      (inject_transient) expire between attempts, so a glitch window
+//      heals by re-routing;
+//   2. DIAGNOSE a persistent failure: binary-search the first plan column
+//      where the faulty fabric's line state diverges from the clean plan's
+//      (recomputing from column 0 per probe), then localize the splitter
+//      from the first differing switch control — the report names the
+//      paper coordinates (main stage, BSN column, splitter) to replace;
+//   3. FALL BACK to the behavioral spare plane, still audited — never
+//      trusted blindly.
+//
+// Across routes the router manages the fabric:
 //
 //   * HEALTH-TRACKED BREAKER.  Every persistent-fault diagnosis is recorded
 //     in the HealthTracker; after `trip_threshold` CONSECUTIVE diagnoses
@@ -18,13 +37,6 @@
 //     probes close the breaker and restore the fast path.  The state is
 //     exported live as the bnb_breaker_state gauge (0 closed, 1 half-open,
 //     2 open) next to bnb_breaker_{trips,probes,recoveries}_total.
-//   * RETRY WITH BACKOFF AND A DEADLINE.  Primary attempts retry up to
-//     max_retries times with deterministic exponential backoff
-//     (min(backoff_initial_ns << (attempt-1), backoff_max_ns) — no jitter,
-//     reproducible under seeded chaos), all bounded by a per-route
-//     deadline_ns budget: when the budget is exhausted the ladder stops
-//     early (bnb_resilient_deadline_exceeded_total) and the route falls
-//     through to diagnosis + spare plane instead of blocking the caller.
 //   * CACHE QUARANTINE.  Schedules solved while faults are active must
 //     NEVER enter the ScheduleCache.  The fast path only touches the cache
 //     when the fabric has no fault overlay at all; every persistent-fault
@@ -33,11 +45,11 @@
 //     After a transient window the overlay is still considered suspect
 //     until clear_faults() — conservative by design.
 //
-// The RobustRouter invariant is preserved and strengthened: a
-// ResilientRouter NEVER silently misroutes (every delivery on every path —
-// cache replay included — is audited), and under the breaker its
+// The contract: a ResilientRouter NEVER silently misroutes.  Every route()
+// ends delivered with a clean audit of the returned dest (cache replay
+// included), or kFailed with the diagnosis attached; under the breaker its
 // worst-case per-route latency is bounded even while the fabric is broken.
-// Like RobustRouter, an instance is NOT thread-safe; shard per thread.
+// An instance is NOT thread-safe; shard per thread.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +59,7 @@
 #include "core/compiled_bnb.hpp"
 #include "core/schedule_cache.hpp"
 #include "fault/delivery_audit.hpp"
-#include "fault/robust_router.hpp"
+#include "fault/fault_model.hpp"
 #include "obs/metrics.hpp"
 #include "perm/permutation.hpp"
 
@@ -61,6 +73,15 @@ enum class BreakerState : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(BreakerState state) noexcept;
+
+/// Where a persistent fault was localized, in paper coordinates.
+struct Diagnosis {
+  bool located = false;
+  std::uint32_t column = 0;        ///< flat plan column index
+  std::uint32_t main_stage = 0;    ///< i of the faulty column
+  std::uint32_t nested_stage = 0;  ///< j of the faulty column
+  std::uint32_t splitter = 0;      ///< splitter index within the column
+};
 
 struct BreakerPolicy {
   /// Consecutive persistent-fault diagnoses that trip the breaker open.
@@ -141,7 +162,7 @@ struct ResilientPolicy {
   /// When false, backoff is accounted (counters, report) but not slept —
   /// for deterministic tests; production keeps the real sleep.
   bool sleep_on_backoff = true;
-  /// Fault localization configuration, forwarded to RobustRouter.
+  /// Fault localization: the failing perm + this-1 random probes.
   unsigned diagnosis_probes = 3;
   std::uint64_t probe_seed = 0x9E3779B9ULL;
   BreakerPolicy breaker;
@@ -180,7 +201,8 @@ class ResilientRouter {
   /// `cache` (optional, caller-owned, may be shared with StreamEngines) is
   /// only consulted/populated while the fabric has no fault overlay, and is
   /// quarantined on every diagnosis/bad replay.  Counters attach to
-  /// `registry` (nullptr = global) under bnb_resilient_* / bnb_breaker_*.
+  /// `registry` (nullptr = global) under bnb_robust_* / bnb_resilient_* /
+  /// bnb_breaker_* while the router lives.
   explicit ResilientRouter(unsigned m, ResilientPolicy policy = {},
                            ScheduleCache* cache = nullptr,
                            obs::MetricsRegistry* registry = nullptr);
@@ -189,26 +211,33 @@ class ResilientRouter {
   ResilientRouter(const ResilientRouter&) = delete;
   ResilientRouter& operator=(const ResilientRouter&) = delete;
 
-  [[nodiscard]] unsigned m() const noexcept { return robust_.m(); }
-  [[nodiscard]] std::size_t inputs() const noexcept { return robust_.inputs(); }
+  [[nodiscard]] unsigned m() const noexcept { return engine_.m(); }
+  [[nodiscard]] std::size_t inputs() const noexcept { return engine_.inputs(); }
   [[nodiscard]] const ResilientPolicy& policy() const noexcept { return policy_; }
-  [[nodiscard]] const CompiledBnb& engine() const noexcept { return robust_.engine(); }
+  [[nodiscard]] const CompiledBnb& engine() const noexcept { return engine_; }
   [[nodiscard]] HealthTracker& health() noexcept { return health_; }
   [[nodiscard]] const HealthTracker& health() const noexcept { return health_; }
 
-  /// Fault injection, forwarded to the primary plane (robust_router.hpp).
-  void inject(const FaultModel& model) { robust_.inject(model); }
-  void inject_transient(const FaultModel& model, unsigned attempts) {
-    robust_.inject_transient(model, attempts);
-  }
-  void clear_faults() { robust_.clear_faults(); }
-  [[nodiscard]] bool has_faults() const noexcept { return robust_.has_faults(); }
+  /// Overlay `model` on the primary plane until clear_faults().
+  void inject(const FaultModel& model);
+
+  /// Overlay `model` on the primary plane for the next `attempts` primary
+  /// attempts only — a transient glitch window that retrying outlives.
+  void inject_transient(const FaultModel& model, unsigned attempts);
+
+  void clear_faults();
+  [[nodiscard]] bool has_faults() const noexcept { return !overlay_.empty(); }
 
   /// Route under the full resilience contract: breaker gate, cache fast
   /// path (clean fabric only), retry ladder with backoff + deadline,
   /// diagnosis + quarantine, audited spare plane.  Never silently
   /// misroutes: delivered() implies a clean audit of the returned dest.
   [[nodiscard]] ResilientReport route(const Permutation& pi);
+
+  /// Localize the first fabric fault that misroutes `pi` (no-op Diagnosis
+  /// when no overlay is active or the faulty and clean fabrics agree on
+  /// every probe).
+  [[nodiscard]] Diagnosis diagnose(const Permutation& pi) const;
 
   struct Stats {
     std::uint64_t backoffs = 0;           ///< backoff delays taken
@@ -222,6 +251,11 @@ class ResilientRouter {
  private:
   /// Backoff before retry `attempt` (attempt >= 1), deterministic.
   [[nodiscard]] std::uint64_t backoff_for(unsigned attempt) const noexcept;
+  /// The fault overlay for the next primary attempt (counts transient
+  /// windows down); nullptr = clean fabric.
+  [[nodiscard]] const EngineFaults* overlay_for_attempt();
+  /// One audited primary-plane route; fills audit/dest, true when clean.
+  [[nodiscard]] bool attempt_primary(const Permutation& pi, ResilientReport& report);
   /// Audited spare-plane delivery; fills audit/dest, true when clean.
   [[nodiscard]] bool deliver_spare(const Permutation& pi, ResilientReport& report);
   /// Clean-fabric cache fast path; true when the report was delivered.
@@ -230,13 +264,18 @@ class ResilientRouter {
                                 ResilientReport& report);
 
   ResilientPolicy policy_;
-  RobustRouter robust_;  ///< primary plane, configured single-attempt
+  CompiledBnb engine_;   ///< primary plane
   BnbNetwork spare_;     ///< behavioral spare plane for degraded/fallback
   DeliveryAudit audit_;
-  RouteScratch scratch_;
+  RouteScratch scratch_;  ///< shared by the fast path and the ladder
+  EngineFaults overlay_;
+  bool permanent_ = false;
+  unsigned transient_remaining_ = 0;
   ScheduleCache* cache_;
   HealthTracker health_;
   obs::MetricsRegistry* registry_;
+  obs::Counter routed_;
+  obs::Counter misroutes_caught_;
   obs::Counter backoffs_;
   obs::Counter backoff_ns_;
   obs::Counter deadline_exceeded_;

@@ -16,7 +16,7 @@
 // A MetricsRegistry names metrics.  It can OWN a metric (get-or-create by
 // name, stable reference for the life of the registry) or it can have
 // external instances ATTACHED under a name: every ScheduleCache /
-// StreamEngine / RobustRouter keeps its own per-instance counters (their
+// StreamEngine / ResilientRouter keeps its own per-instance counters (their
 // historic stats() accessors still read exactly those), and attaches them
 // to a registry so one snapshot() call returns ONE coherent fabric-wide
 // view — the per-name value of an attached metric is the sum over every

@@ -9,8 +9,8 @@
 //               control-setup cost KR-Benes says to track separately)
 //   kApply      CompiledBnb::apply / apply_words — O(N) schedule replay
 //   kRoute      CompiledBnb::route — the fused clean/fault/trace path
-//   kAudit      DeliveryAudit inside RobustRouter::route
-//   kDiagnose   RobustRouter::diagnose — binary-search fault localization
+//   kAudit      DeliveryAudit inside ResilientRouter::route
+//   kDiagnose   ResilientRouter::diagnose — binary-search fault localization
 //   kFallback   the behavioral spare-plane route after primary persistence
 //   kStreamRun  one whole StreamEngine::run call
 //   kSmallApply CompiledBnb::apply_small — register-resident small-N replay

@@ -5,9 +5,9 @@
 //
 //   * A TRACE ID is a process-unique 64-bit id (relaxed fetch_add off one
 //     global counter; 0 means "untraced").  One id is allocated per unit
-//     of causally-related work: a CompiledBnb::route call, a RobustRouter
-//     or ResilientRouter route (the whole retry/fallback ladder shares
-//     it), each batch item, each StreamEngine stream item.
+//     of causally-related work: a CompiledBnb::route call, a
+//     ResilientRouter route (the whole retry/fallback ladder shares it),
+//     each batch item, each StreamEngine stream item.
 //   * The CURRENT context is thread-local: {trace_id, parent_id}.  Every
 //     LiveSpan that finishes on the thread stamps the current pair (plus
 //     the thread's own small id) into its SpanRecord — propagation is

@@ -1,13 +1,14 @@
 // Fault subsystem: the FaultModel address space, the injection compiler
 // (behavioral and compiled overlays MUST behave identically), the
-// DeliveryAudit taxonomy, and the RobustRouter's no-silent-misroute
-// contract — exhaustively for every single fault at m <= 3, and with
+// DeliveryAudit taxonomy, and the recovery ladder's no-silent-misroute
+// contract (ResilientRouter) — exhaustively for every single fault at m <= 3, and with
 // randomized multi-fault campaigns at m = 8 and m = 10.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,7 +22,8 @@
 #include "fault/delivery_audit.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/injection.hpp"
-#include "fault/robust_router.hpp"
+#include "fault/resilience.hpp"
+#include "obs/metrics.hpp"
 #include "perm/generators.hpp"
 
 namespace bnb {
@@ -447,21 +449,40 @@ TEST(DeliveryAudit, ConcurrentAuditsOnOneConstObjectMatchTheReference) {
   EXPECT_EQ(mismatches.load(), 0) << "of " << kThreads * kAuditsPerThread << " audits";
 }
 
-// ---- RobustRouter -----------------------------------------------------
+// ---- Recovery ladder (RobustRouter.* = the robust-routing contract) ----
+//
+// These run on ResilientRouter with backoff accounted but never slept and
+// a breaker that never trips, so every persistent primary failure is
+// diagnosed and falls back to the audited spare plane.
+
+ResilientPolicy ladder_policy(unsigned max_retries) {
+  ResilientPolicy policy;
+  policy.max_retries = max_retries;
+  policy.sleep_on_backoff = false;
+  policy.breaker.trip_threshold = std::numeric_limits<unsigned>::max();
+  return policy;
+}
+
+std::uint64_t counter_value(const obs::MetricsRegistry& registry, const char* name) {
+  const auto snap = registry.snapshot();
+  const auto* metric = snap.find(name);
+  return metric != nullptr ? metric->counter : 0;
+}
 
 TEST(RobustRouter, CleanFabricDeliversFirstTry) {
-  RobustRouter router(5);
+  obs::MetricsRegistry registry;
+  ResilientRouter router(5, ladder_policy(1), nullptr, &registry);
   Rng rng(0xC1EA2);
   for (int round = 0; round < 10; ++round) {
     const Permutation pi = random_perm(32, rng);
-    const RobustReport report = router.route(pi);
-    EXPECT_EQ(report.outcome, RouteOutcome::kDelivered);
+    const ResilientReport report = router.route(pi);
+    EXPECT_EQ(report.outcome, ResilientOutcome::kDelivered);
     EXPECT_EQ(report.attempts, 1U);
     ASSERT_EQ(report.dest.size(), 32U);
     for (std::size_t j = 0; j < 32; ++j) EXPECT_EQ(report.dest[j], pi(j));
   }
-  EXPECT_EQ(router.stats().routed, 10U);
-  EXPECT_EQ(router.stats().misroutes_caught, 0U);
+  EXPECT_EQ(counter_value(registry, "bnb_robust_routed_total"), 10U);
+  EXPECT_EQ(counter_value(registry, "bnb_robust_misroutes_caught_total"), 0U);
 }
 
 TEST(RobustRouter, TransientFaultHealsByRetry) {
@@ -471,9 +492,7 @@ TEST(RobustRouter, TransientFaultHealsByRetry) {
   Rng rng(0x7E4A);
   std::uint64_t healed = 0;
   for (int round = 0; round < 40; ++round) {
-    RobustPolicy policy;
-    policy.max_retries = 1;
-    RobustRouter router(m, policy);
+    ResilientRouter router(m, ladder_policy(1));
     Rng campaign_rng(0x7E4A00 + round);
     FaultModel model(m);
     for (const auto& f : FaultModel::random_campaign(m, 2, campaign_rng)) {
@@ -481,11 +500,11 @@ TEST(RobustRouter, TransientFaultHealsByRetry) {
     }
     router.inject_transient(model, 1);
     const Permutation pi = random_perm(32, rng);
-    const RobustReport report = router.route(pi);
+    const ResilientReport report = router.route(pi);
     ASSERT_TRUE(report.delivered()) << "round " << round;
     ASSERT_EQ(report.dest.size(), 32U);
     for (std::size_t j = 0; j < 32; ++j) ASSERT_EQ(report.dest[j], pi(j));
-    if (report.outcome == RouteOutcome::kDeliveredAfterRetry) ++healed;
+    if (report.outcome == ResilientOutcome::kDeliveredAfterRetry) ++healed;
   }
   // With 40 random 2-fault glitches, some must actually have fired.
   EXPECT_GT(healed, 0U);
@@ -493,7 +512,7 @@ TEST(RobustRouter, TransientFaultHealsByRetry) {
 
 TEST(RobustRouter, PersistentFaultFallsBackToSparePlane) {
   const unsigned m = 6;
-  RobustRouter router(m);
+  ResilientRouter router(m, ladder_policy(1));
   FaultModel model(m);
   // A link flip into the first splitter's slice: fires on essentially
   // every permutation.
@@ -503,20 +522,21 @@ TEST(RobustRouter, PersistentFaultFallsBackToSparePlane) {
   std::uint64_t fallbacks = 0;
   for (int round = 0; round < 20; ++round) {
     const Permutation pi = random_perm(64, rng);
-    const RobustReport report = router.route(pi);
+    const ResilientReport report = router.route(pi);
     ASSERT_TRUE(report.delivered());
     for (std::size_t j = 0; j < 64; ++j) ASSERT_EQ(report.dest[j], pi(j));
-    if (report.outcome == RouteOutcome::kDeliveredByFallback) {
+    if (report.outcome == ResilientOutcome::kDeliveredByFallback) {
       ++fallbacks;
       EXPECT_TRUE(report.diagnosis.located);
     }
   }
   EXPECT_GT(fallbacks, 0U);
-  EXPECT_EQ(router.stats().fallback_routes, fallbacks);
+  // Every persistent failure fell back; none was served degraded.
+  EXPECT_EQ(router.stats().degraded, 0U);
   // Clearing the faults restores the primary path.
   router.clear_faults();
   const Permutation pi = random_perm(64, rng);
-  EXPECT_EQ(router.route(pi).outcome, RouteOutcome::kDelivered);
+  EXPECT_EQ(router.route(pi).outcome, ResilientOutcome::kDelivered);
 }
 
 TEST(RobustRouter, DiagnosisLocatesStuckControls) {
@@ -535,27 +555,22 @@ TEST(RobustRouter, DiagnosisLocatesStuckControls) {
     for (const bool value : {false, true}) {
       FaultSpec spec = base;
       spec.value = value;
-      RobustPolicy policy;
-      policy.max_retries = 0;
-      policy.fallback_to_behavioral = false;  // force kFailed for diagnosis
-      RobustRouter router(m, policy);
+      ResilientRouter router(m, ladder_policy(0));
       FaultModel model(m);
       model.add(spec);
       router.inject(model);
       for (int round = 0; round < 10; ++round) {
         const Permutation pi = random_perm(64, rng);
-        const RobustReport report = router.route(pi);
-        if (report.delivered()) {
-          // Stuck at the naturally computed value: benign for this perm.
-          for (std::size_t j = 0; j < 64; ++j) ASSERT_EQ(report.dest[j], pi(j));
-          continue;
-        }
-        ASSERT_TRUE(report.diagnosis.located) << to_string(spec);
-        EXPECT_EQ(report.diagnosis.main_stage, spec.at.main_stage)
-            << to_string(spec);
-        EXPECT_EQ(report.diagnosis.nested_stage, spec.at.nested_column)
-            << to_string(spec);
-        EXPECT_EQ(report.diagnosis.splitter, spec.at.splitter) << to_string(spec);
+        const ResilientReport report = router.route(pi);
+        ASSERT_TRUE(report.delivered());
+        for (std::size_t j = 0; j < 64; ++j) ASSERT_EQ(report.dest[j], pi(j));
+        // Stuck at the naturally computed value: benign for this perm.
+        if (report.outcome == ResilientOutcome::kDelivered) continue;
+        const Diagnosis diagnosis = router.diagnose(pi);
+        ASSERT_TRUE(diagnosis.located) << to_string(spec);
+        EXPECT_EQ(diagnosis.main_stage, spec.at.main_stage) << to_string(spec);
+        EXPECT_EQ(diagnosis.nested_stage, spec.at.nested_column) << to_string(spec);
+        EXPECT_EQ(diagnosis.splitter, spec.at.splitter) << to_string(spec);
         ++diagnosed;
       }
     }
@@ -565,18 +580,16 @@ TEST(RobustRouter, DiagnosisLocatesStuckControls) {
 
 TEST(RobustRouter, MultiFaultCampaignNeverSilentlyMisroutes) {
   // Randomized multi-fault campaigns at m = 8 and m = 10: whatever the
-  // damage, every route ends delivered (with a verified mapping) or
-  // kFailed with the faulty component diagnosed.  Silent misroutes —
-  // delivered() with a wrong mapping — are the one forbidden outcome.
+  // damage, every route ends delivered with a verified mapping, and every
+  // second campaign requires each primary failure to name the faulty
+  // component.  Silent misroutes — delivered() with a wrong mapping — are
+  // the one forbidden outcome.
   for (const unsigned m : {8U, 10U}) {
     const std::size_t n = std::size_t{1} << m;
     Rng rng(0xCA4BA16 + m);
     for (int campaign = 0; campaign < 6; ++campaign) {
-      const bool with_fallback = campaign % 2 == 0;
-      RobustPolicy policy;
-      policy.max_retries = 1;
-      policy.fallback_to_behavioral = with_fallback;
-      RobustRouter router(m, policy);
+      const bool check_diagnosis = campaign % 2 == 1;
+      ResilientRouter router(m, ladder_policy(1));
       FaultModel model(m);
       Rng campaign_rng(0xF00D + 97 * campaign + m);
       const std::size_t count = 1 + campaign_rng.below(3);
@@ -586,37 +599,33 @@ TEST(RobustRouter, MultiFaultCampaignNeverSilentlyMisroutes) {
       router.inject(model);
       for (int round = 0; round < 6; ++round) {
         const Permutation pi = random_perm(n, rng);
-        const RobustReport report = router.route(pi);
-        if (report.delivered()) {
-          ASSERT_EQ(report.dest.size(), n);
-          for (std::size_t j = 0; j < n; ++j) {
-            ASSERT_EQ(report.dest[j], pi(j))
-                << "SILENT MISROUTE m=" << m << " campaign " << campaign;
-          }
-        } else {
-          ASSERT_FALSE(with_fallback)
-              << "clean spare plane can never fail, m=" << m;
-          ASSERT_TRUE(report.diagnosis.located)
-              << "kFailed must name a component, m=" << m;
-          EXPECT_LT(report.diagnosis.column, router.engine().columns().size());
+        const ResilientReport report = router.route(pi);
+        ASSERT_TRUE(report.delivered()) << "clean spare plane can never fail, m=" << m;
+        ASSERT_EQ(report.dest.size(), n);
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(report.dest[j], pi(j))
+              << "SILENT MISROUTE m=" << m << " campaign " << campaign;
         }
+        if (!check_diagnosis || report.outcome == ResilientOutcome::kDelivered) continue;
+        const Diagnosis diagnosis = router.diagnose(pi);
+        ASSERT_TRUE(diagnosis.located) << "a primary failure must name a component, m=" << m;
+        EXPECT_LT(diagnosis.column, router.engine().columns().size());
       }
     }
   }
 }
 
 TEST(RobustRouter, SingleStuckFaultsAtM10AreNeverSilent) {
-  // The ISSUE's acceptance criterion, verbatim: any single stuck-at fault
-  // at m <= 10 must never produce a silent misroute.
+  // Any single stuck-at fault at m <= 10 must never produce a silent
+  // misroute, and every second trial requires each primary failure to be
+  // diagnosed.
   const unsigned m = 10;
   const std::size_t n = std::size_t{1} << m;
   Rng rng(0x57C4);
   Rng fault_rng(0x57C5);
   for (int trial = 0; trial < 24; ++trial) {
-    RobustPolicy policy;
-    policy.max_retries = 0;
-    policy.fallback_to_behavioral = trial % 2 == 0;
-    RobustRouter router(m, policy);
+    const bool check_diagnosis = trial % 2 == 1;
+    ResilientRouter router(m, ladder_policy(0));
     FaultModel model(m);
     // Constrain the random campaign to stuck-at faults only.
     for (;;) {
@@ -630,11 +639,11 @@ TEST(RobustRouter, SingleStuckFaultsAtM10AreNeverSilent) {
     router.inject(model);
     for (int round = 0; round < 4; ++round) {
       const Permutation pi = random_perm(n, rng);
-      const RobustReport report = router.route(pi);
-      if (report.delivered()) {
-        for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(report.dest[j], pi(j));
-      } else {
-        ASSERT_TRUE(report.diagnosis.located);
+      const ResilientReport report = router.route(pi);
+      ASSERT_TRUE(report.delivered());
+      for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(report.dest[j], pi(j));
+      if (check_diagnosis && report.outcome != ResilientOutcome::kDelivered) {
+        ASSERT_TRUE(router.diagnose(pi).located);
       }
     }
   }

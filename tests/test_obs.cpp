@@ -14,7 +14,7 @@
 #include "core/compiled_bnb.hpp"
 #include "core/schedule_cache.hpp"
 #include "fabric/stream_engine.hpp"
-#include "fault/robust_router.hpp"
+#include "fault/resilience.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -811,7 +811,9 @@ TEST(ObsExport, EveryMetricRoundTripsThroughBothExporters) {
     (void)cache.route(engine, pi, scratch);
     (void)cache.route(engine, pi, scratch);  // second pass: cache hit
   }
-  RobustRouter router(3, RobustPolicy{}, &reg);
+  ResilientPolicy policy;
+  policy.sleep_on_backoff = false;
+  ResilientRouter router(3, policy, nullptr, &reg);
   (void)router.route(random_perm(router.inputs(), rng));
   StreamEngine::Options options;
   options.threads = 1;
@@ -835,8 +837,8 @@ TEST(ObsExport, EveryMetricRoundTripsThroughBothExporters) {
   for (const char* name :
        {"bnb_cache_hits_total", "bnb_cache_misses_total", "bnb_cache_evictions_total",
         "bnb_cache_bypasses_total", "bnb_cache_entries", "bnb_robust_routed_total",
-        "bnb_robust_misroutes_caught_total", "bnb_robust_retries_total",
-        "bnb_robust_fallback_total", "bnb_robust_failures_total",
+        "bnb_robust_misroutes_caught_total", "bnb_resilient_backoffs_total",
+        "bnb_resilient_degraded_total", "bnb_breaker_state",
         "bnb_stream_runs_total", "bnb_stream_permutations_total",
         "bnb_stream_solves_total", "bnb_stream_cache_hits_total",
         "bnb_stream_ring_high_water"}) {

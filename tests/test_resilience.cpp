@@ -18,6 +18,7 @@
 #include "core/schedule_cache.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/resilience.hpp"
+#include "obs/metrics.hpp"
 #include "perm/generators.hpp"
 
 namespace {
@@ -294,6 +295,43 @@ TEST(ResilientRouter, PersistentFaultTripsBreakerAfterKDiagnoses) {
   }
   EXPECT_GT(degraded, 0U);
   EXPECT_EQ(router.stats().degraded, degraded);
+}
+
+TEST(ResilientRouter, PersistentFaultCountsOneMisroutePerFailedPrimaryAttempt) {
+  // The ladder's two robust-routing counters: every failed primary attempt
+  // adds one bnb_robust_misroutes_caught_total, and a route that ends on
+  // the spare plane leaves bnb_robust_routed_total unchanged.
+  obs::MetricsRegistry registry;
+  ResilientPolicy policy;
+  policy.max_retries = 2;
+  policy.sleep_on_backoff = false;
+  policy.breaker.trip_threshold = 1000;  // every route runs the ladder
+  const unsigned m = 6;
+  ResilientRouter router(m, policy, nullptr, &registry);
+  const auto counter = [&](const char* name) {
+    return registry.snapshot().find(name)->counter;
+  };
+  Rng rng(0x3C0E);
+  const Permutation clean = random_perm(64, rng);
+  expect_delivers(clean, router.route(clean));
+  EXPECT_EQ(counter("bnb_robust_routed_total"), 1U);
+  EXPECT_EQ(counter("bnb_robust_misroutes_caught_total"), 0U);
+
+  router.inject(always_firing_fault(m));
+  std::uint64_t fallbacks = 0;
+  for (int round = 0; round < 16; ++round) {
+    const std::uint64_t routed = counter("bnb_robust_routed_total");
+    const std::uint64_t caught = counter("bnb_robust_misroutes_caught_total");
+    const Permutation pi = random_perm(64, rng);
+    const ResilientReport report = router.route(pi);
+    expect_delivers(pi, report);
+    if (report.outcome != ResilientOutcome::kDeliveredByFallback) continue;
+    ++fallbacks;
+    EXPECT_EQ(report.attempts, policy.max_retries + 1);
+    EXPECT_EQ(counter("bnb_robust_misroutes_caught_total") - caught, report.attempts);
+    EXPECT_EQ(counter("bnb_robust_routed_total"), routed);
+  }
+  EXPECT_GT(fallbacks, 0U);
 }
 
 TEST(ResilientRouter, HalfOpenProbeRestoresFastPath) {
