@@ -25,7 +25,7 @@
 //   route_cli --repeat 3 --cache-save warm.bnbstore 3 0 1 2
 //   route_cli --repeat 3 --cache-load warm.bnbstore 3 0 1 2
 //                             # persist the solved schedules as a
-//                             # bnb.schedstore.v2 file, then warm-start a
+//                             # bnb.schedstore.v3 file, then warm-start a
 //                             # fresh process from it (3 hits, 0 misses);
 //                             # an unreadable or corrupt store exits 2
 //   route_cli --stream --batch 200 --repeat 5 --threads 2 64
@@ -488,7 +488,7 @@ int run_stream(std::size_t count, unsigned threads, std::size_t repeat,
 
 // --repeat K on a single permutation: route it K times through a
 // ScheduleCache (one arbiter-tree solve, K-1 schedule replays).  With
-// --cache-load the cache warm-starts from a bnb.schedstore.v2 file before
+// --cache-load the cache warm-starts from a bnb.schedstore.v3 file before
 // the first route (a prior save makes every pass a hit); with --cache-save
 // the cache is persisted after the last.  A store the build cannot read —
 // wrong magic, unsupported version, foreign byte order, CRC damage — is a

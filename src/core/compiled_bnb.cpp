@@ -13,7 +13,6 @@
 
 #include "common/expect.hpp"
 #include "core/bit_pack.hpp"
-#include "core/schedule_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
@@ -169,22 +168,15 @@ bool ControlSchedule::prepared_for(const CompiledBnb& plan) const noexcept {
   return m_ == plan.m() && m_ != 0 && control_words_ == plan.control_words();
 }
 
-void ControlSchedule::reshape(unsigned m, std::size_t columns,
-                              std::size_t control_words) {
+void ControlSchedule::reshape(unsigned m) {
   BNB_EXPECTS(m >= 1 && m < 26);
-  BNB_EXPECTS(columns == static_cast<std::size_t>(m) * (m + 1) / 2);
-  BNB_EXPECTS(control_words >= 1);
-  const std::size_t lines = std::size_t{1} << m;
-  if (m_ == m && columns_ == columns && control_words_ == control_words &&
-      ctl_.size() == columns * control_words && line_of_input_.size() == lines) {
-    solved_ = false;
-    return;
-  }
+  // clear() and resize() keep capacity: a slot that alternates copy-outs
+  // and solves re-shapes without allocating.
   m_ = m;
-  columns_ = columns;
-  control_words_ = control_words;
-  ctl_.assign(columns * control_words, 0);
-  line_of_input_.assign(lines, 0);
+  columns_ = 0;
+  control_words_ = 0;
+  ctl_.clear();
+  line_of_input_.resize(std::size_t{1} << m);
   solved_ = false;
 }
 
@@ -521,7 +513,9 @@ CompiledBnb::Output CompiledBnb::route(const Permutation& pi, RouteScratch& scra
     // the scratch-owned schedule, then deliver from it.  route_impl already
     // produced the delivered words while solving, so "apply" here is the
     // mapping copy route_impl performs for the capture — output identical
-    // to the historic fused path by construction.
+    // to the historic fused path by construction.  The slot may hold a
+    // replay-only cache copy-out, so shape it for the capture first.
+    scratch.schedule_.prepare(*this);
     return route_impl(scratch, trace, {}, faults, &scratch.schedule_);
   }
   return route_impl(scratch, trace, {}, faults);
@@ -556,7 +550,7 @@ CompiledBnb::Output CompiledBnb::apply(const ControlSchedule& schedule,
   BNB_OBS_SPAN(obs_span, obs::Phase::kApply);
   const std::size_t n = inputs();
   BNB_EXPECTS(pi.size() == n);
-  BNB_EXPECTS(schedule.prepared_for(*this) && schedule.solved());
+  BNB_EXPECTS(schedule.m() == m_ && schedule.solved());
   scratch.prepare(*this);
   // Replay: input j's word (address pi(j), payload j) appears on the line
   // the solved switch settings compose to.  Addresses travel with their
@@ -580,7 +574,7 @@ CompiledBnb::Output CompiledBnb::apply_words(const ControlSchedule& schedule,
   BNB_OBS_SPAN(obs_span, obs::Phase::kApply);
   const std::size_t n = inputs();
   BNB_EXPECTS(words.size() == n);
-  BNB_EXPECTS(schedule.prepared_for(*this) && schedule.solved());
+  BNB_EXPECTS(schedule.m() == m_ && schedule.solved());
   scratch.prepare(*this);
   // Preset switches do not look at addresses: word j lands wherever the
   // schedule's composition sends input j, carrying whatever address field
@@ -757,21 +751,8 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
     stop.store(true, std::memory_order_relaxed);
   };
 
-  // Small-N batches take the register-resident lane: each worker keeps a
-  // tiny direct-mapped memo of flattened schedules so a permutation that
-  // repeats within its chunks replays in registers instead of re-running
-  // the solver.  Worker-local, value-type — no synchronization, no heap.
-  const bool small_lane =
-      small_capable() && (faults == nullptr || faults->empty());
-
   auto drain = [&] {
     RouteScratch scratch;
-    constexpr std::size_t kMemoSlots = 16;
-    struct MemoEntry {
-      PermutationDigest digest;
-      SmallSchedule schedule;
-    };
-    std::array<MemoEntry, kMemoSlots> memo{};
     try {
       scratch.prepare(*this);
     } catch (...) {
@@ -790,25 +771,14 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
       for (std::size_t idx = chunk * chunk_size; idx < end; ++idx) {
         if (stop.load(std::memory_order_relaxed)) return;
         // Each batch item is its own causal unit: a fresh trace id per
-        // permutation (the small lane's apply_small span inherits it too).
+        // permutation.
         BNB_OBS_TRACE_ROOT(item_scope);
         try {
           // Per-item validation happens here, inside the worker, so a bad
           // permutation is reported with its batch index rather than tearing
           // the whole call down before any routing starts.
           BNB_EXPECTS(perms[idx].size() == n);
-          Output out;
-          if (small_lane) {
-            const PermutationDigest digest = digest_permutation(perms[idx]);
-            MemoEntry& slot = memo[digest.hi & (kMemoSlots - 1)];
-            if (!slot.schedule.solved() || !(slot.digest == digest)) {
-              slot.schedule = compile_small(perms[idx], scratch);
-              slot.digest = digest;
-            }
-            out = apply_small(slot.schedule, perms[idx], scratch);
-          } else {
-            out = route(perms[idx], scratch, nullptr, faults);
-          }
+          const Output out = route(perms[idx], scratch, nullptr, faults);
           if (!out.self_routed) all_ok.store(false, std::memory_order_relaxed);
           std::copy(out.dest.begin(), out.dest.end(),
                     result.dest.begin() + static_cast<std::ptrdiff_t>(idx * n));

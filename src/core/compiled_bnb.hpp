@@ -29,8 +29,8 @@
 //
 // Every word-parallel pass above is reached through a kernels::KernelSet
 // (core/kernels/kernel_set.hpp): function pointers bound once at plan
-// construction to the best tier the host can execute (scalar, avx2, avx512,
-// neon; BNB_KERNELS overrides).  Every tier drives the same datapath.
+// construction to the best tier the host can execute (scalar, avx2,
+// avx512; BNB_KERNELS overrides).  Every tier drives the same datapath.
 //
 // Controls/trace capture is opt-in (ControlTrace) and off the fast path:
 // plain route() computes only destinations and delivered words.
@@ -80,6 +80,12 @@ class CompiledBnb;
 /// touching an arbiter tree again.  Schedules are plain data — safe to
 /// share read-only across threads, cacheable (core/schedule_cache.hpp),
 /// and replayable column-by-column (StagedBnbRouter::step_replay).
+///
+/// A REPLAY-ONLY schedule (ScheduleCache::find's copy-out) carries the
+/// line map alone: the network self-routes (Thm. 2), so apply() never
+/// reads the switch controls.  It has m() set, solved()
+/// true and columns() == control_words() == 0; the column-level consumers
+/// (step_replay, flatten_small) require prepared_for() and refuse it.
 class ControlSchedule {
  public:
   ControlSchedule() = default;
@@ -88,11 +94,13 @@ class ControlSchedule {
   void prepare(const CompiledBnb& plan);
 
   /// True when this schedule's buffers fit `plan` (same m, same packed
-  /// control width).  Says nothing about whether solve() has run.
+  /// control width).  Says nothing about whether solve() has run; false
+  /// for a replay-only schedule.
   [[nodiscard]] bool prepared_for(const CompiledBnb& plan) const noexcept;
 
   [[nodiscard]] unsigned m() const noexcept { return m_; }
-  /// True once solve() has populated the controls and the mapping.
+  /// True once solve() has populated the mapping (and, unless replay-only,
+  /// the controls).
   [[nodiscard]] bool solved() const noexcept { return solved_; }
 
   /// Packed controls of `column` (control_words() words): bit t of word w
@@ -109,26 +117,18 @@ class ControlSchedule {
     return line_of_input_;
   }
 
-  /// Heap bytes a prepared schedule of this shape occupies (cache sizing).
-  [[nodiscard]] std::size_t footprint_bytes() const noexcept {
-    return ctl_.size() * sizeof(std::uint64_t) +
-           line_of_input_.size() * sizeof(std::uint32_t);
-  }
+  // -- wire access (core/schedule_cache.cpp) ------------------------------
+  // find()'s copy-out rebuilds a replay-only schedule without a plan in
+  // hand: reshape() sizes the line map, lines_data() exposes it, and
+  // set_solved() marks it replayable.  prepare() remains the plan-driven
+  // path.
 
-  // -- wire access (core/schedule_store.hpp, core/schedule_cache.hpp) -----
-  // Deserializers and the flat schedule store rebuild schedules without a
-  // plan in hand: reshape() sizes the buffers to an explicit shape (no-op
-  // when already that shape — the zero-allocation copy-out path), the
-  // mutable accessors expose the raw buffers, and set_solved() marks the
-  // rebuilt schedule replayable.  prepare() remains the plan-driven path.
-
-  /// Size for an explicit shape; lines count is 2^m.  Allocation-free when
-  /// the schedule already has this exact shape.  Marks the schedule
+  /// Make this a replay-only schedule of 2^m lines and no controls.  Keeps
+  /// every buffer's capacity, so a schedule that alternates copy-outs and
+  /// solves allocates nothing once each has run.  Marks the schedule
   /// unsolved until set_solved(true).
-  void reshape(unsigned m, std::size_t columns, std::size_t control_words);
+  void reshape(unsigned m);
 
-  [[nodiscard]] const std::uint64_t* ctl_data() const noexcept { return ctl_.data(); }
-  [[nodiscard]] std::uint64_t* ctl_data() noexcept { return ctl_.data(); }
   [[nodiscard]] std::uint32_t* lines_data() noexcept { return line_of_input_.data(); }
   void set_solved(bool solved) noexcept { solved_ = solved; }
 
@@ -162,9 +162,10 @@ class RouteScratch {
   [[nodiscard]] bool prepared_for(const CompiledBnb& plan) const noexcept;
 
   /// The scratch-owned ControlSchedule route() solves into.  Exposed for
-  /// cache copy-out workflows (fault/resilience.cpp, fabric): a caller can
-  /// ScheduleCache::find() into this slot and apply() from it without
-  /// owning a second schedule — allocation-free once shaped.
+  /// cache copy-out workflows: a caller can ScheduleCache::find() into this
+  /// slot and apply() from it without owning a second schedule —
+  /// allocation-free once shaped.  route() re-prepares the slot, so a
+  /// replay-only copy-out left here never reaches the capture.
   [[nodiscard]] ControlSchedule& schedule_slot() noexcept { return schedule_; }
   [[nodiscard]] const ControlSchedule& schedule_slot() const noexcept { return schedule_; }
 
@@ -332,6 +333,8 @@ class CompiledBnb {
   /// schedule.line_of_input()[j].  Bit-identical to route(pi) when
   /// `schedule` was solved for `pi` on any kernel tier (controls are
   /// tier-invariant).  O(N) — no arbiter trees, no column passes.
+  /// Requires schedule.m() == m() and schedule.solved(); a replay-only
+  /// schedule qualifies (the controls are never read).
   [[nodiscard]] Output apply(const ControlSchedule& schedule, const Permutation& pi,
                              RouteScratch& scratch) const;
 
@@ -339,7 +342,8 @@ class CompiledBnb {
   /// lands on line schedule.line_of_input()[j] REGARDLESS of its address
   /// field — exactly what a hardware fabric with preset switches does to
   /// whatever stream crosses it.  Addresses are delivered as carried, so
-  /// self_routed reports whether this payload matches the schedule.
+  /// self_routed reports whether this payload matches the schedule.  Same
+  /// precondition as apply().
   [[nodiscard]] Output apply_words(const ControlSchedule& schedule,
                                    std::span<const Word> words,
                                    RouteScratch& scratch) const;

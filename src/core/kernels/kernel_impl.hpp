@@ -17,8 +17,5 @@ extern const KernelSet kAvx2Set;
 #if defined(BNB_KERNELS_HAVE_AVX512)
 extern const KernelSet kAvx512Set;
 #endif
-#if defined(BNB_KERNELS_HAVE_NEON)
-extern const KernelSet kNeonSet;
-#endif
 
 }  // namespace bnb::kernels::detail

@@ -103,9 +103,6 @@ std::vector<const KernelSet*> build_registry() {
 #endif
 #endif
 #endif
-#if defined(BNB_KERNELS_HAVE_NEON)
-  sets.push_back(&detail::kNeonSet);  // baseline on aarch64, no runtime gate
-#endif
   return sets;
 }
 
@@ -125,7 +122,6 @@ const char* tier_name(Tier tier) noexcept {
     case Tier::kScalar: return "scalar";
     case Tier::kAvx2: return "avx2";
     case Tier::kAvx512: return "avx512";
-    case Tier::kNeon: return "neon";
   }
   return "unknown";
 }

@@ -12,8 +12,9 @@
 //   scalar   portable 64-bit words (PEXT/PDEP when compiled with BMI2) — the
 //            reference every other tier is tested against bit for bit;
 //   avx2     256-bit kernels (4 words per step);
-//   avx512   512-bit kernels (8 words per step, masked tails);
-//   neon     128-bit kernels on aarch64.
+//   avx512   512-bit kernels (8 words per step, masked tails).
+//
+// Other architectures (aarch64 included) run the scalar set.
 //
 // The arbiter and the tail pass are one implementation (solve_core.hpp)
 // written over a lane type and compiled into every tier's translation
@@ -22,7 +23,7 @@
 // The active set is chosen ONCE at first use: CPUID (and, on x86, XGETBV
 // state checks) picks the best tier the host can execute, and the
 // BNB_KERNELS environment variable overrides the choice for testing
-// ("scalar", "avx2", "avx512", "neon"; an unknown or unsupported name
+// ("scalar", "avx2", "avx512"; an unknown or unsupported name
 // throws).  CompiledBnb captures the set at construction, so a single
 // process can also hold plans on different tiers (the equivalence suite
 // does exactly that via the explicit-set constructor).
@@ -46,9 +47,9 @@ struct ColumnFaultMasks;  // core/fault_hooks.hpp: one column's fault overlay
 
 namespace bnb::kernels {
 
-enum class Tier : std::uint8_t { kScalar, kAvx2, kAvx512, kNeon };
+enum class Tier : std::uint8_t { kScalar, kAvx2, kAvx512 };
 
-/// Human-readable tier name ("scalar", "avx2", "avx512", "neon").
+/// Human-readable tier name ("scalar", "avx2", "avx512").
 [[nodiscard]] const char* tier_name(Tier tier) noexcept;
 
 /// The in/out record of KernelSet::solve_tail.  Once a main stage's boxes
@@ -167,7 +168,7 @@ struct KernelSet {
 [[nodiscard]] const KernelSet* kernels_from_env();
 
 /// The process-wide default: BNB_KERNELS if set, else the best supported
-/// tier (avx512 > avx2 > neon > scalar).  Resolved once, then cached.
+/// tier (avx512 > avx2 > scalar).  Resolved once, then cached.
 [[nodiscard]] const KernelSet& active_kernels();
 
 }  // namespace bnb::kernels

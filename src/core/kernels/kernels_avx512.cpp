@@ -7,7 +7,18 @@
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__)
 
+// GCC 12's avx512fintrin.h seeds the unmasked forms of its intrinsics with
+// a self-initialized "undefined" vector, which -Wmaybe-uninitialized flags
+// wherever they inline (GCC bug 105593, fixed in GCC 13).  The warning is
+// silenced for the header's code only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include <bit>
 

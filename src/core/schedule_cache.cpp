@@ -39,41 +39,23 @@ constexpr std::size_t next_pow2(std::size_t x) noexcept {
   return p;
 }
 
-// Valid ControlSchedule shape per the engine's own invariants; anything
-// else is a torn shape read and the lookup degrades to a miss.  Mirrors
-// ControlSchedule::reshape's contract WITHOUT its BNB_EXPECTS — the
-// lock-free reader must never turn a torn read into a contract violation.
-constexpr bool plausible_shape(std::uint32_t m, std::uint64_t columns,
-                               std::uint64_t control_words) noexcept {
-  return m >= 1 && m < 26 &&
-         columns == static_cast<std::uint64_t>(m) * (m + 1) / 2 && control_words >= 1;
-}
-
-/// A frame's general-lane payload as one seqlock read sees it.
+/// A frame's general-lane line map as one seqlock read sees it.
 struct GeneralView {
   std::uint32_t m = 0;
-  std::size_t columns = 0;
-  std::size_t control_words = 0;
-  const std::atomic<std::uint64_t>* ctl = nullptr;    ///< columns * control_words words
   const std::atomic<std::uint64_t>* lines = nullptr;  ///< 2^m / 2 packed line pairs
 };
 
 /// Read `frame`'s general shape; false when it is torn or would overrun
-/// the payload buffer.
+/// the payload buffer.  Mirrors ControlSchedule::reshape's contract
+/// WITHOUT its BNB_EXPECTS — the lock-free reader must never turn a torn
+/// read into a contract violation.
 template <class Frame>
 bool view_general(const Frame& frame, GeneralView& view) noexcept {
   view.m = frame.g_m.load(std::memory_order_relaxed);
-  view.columns = frame.g_columns.load(std::memory_order_relaxed);
-  view.control_words = frame.g_control_words.load(std::memory_order_relaxed);
   const std::atomic<std::uint64_t>* buf = frame.gbuf.load(std::memory_order_relaxed);
-  if (buf == nullptr || !plausible_shape(view.m, view.columns, view.control_words)) {
-    return false;
-  }
-  const std::size_t ctl_words = view.columns * view.control_words;
-  const std::size_t line_words = (std::size_t{1} << view.m) / 2;
-  if (ctl_words + line_words > buf[0].load(std::memory_order_relaxed)) return false;
-  view.ctl = buf + 1;
-  view.lines = buf + 1 + ctl_words;
+  if (buf == nullptr || view.m < 1 || view.m >= 26) return false;
+  if ((std::size_t{1} << view.m) / 2 > buf[0].load(std::memory_order_relaxed)) return false;
+  view.lines = buf + 1;
   return true;
 }
 
@@ -241,8 +223,7 @@ ScheduleCache::Frame* ScheduleCache::find_frame(const std::atomic<std::uint32_t>
 }
 
 template <class Copy>
-bool ScheduleCache::read(const PermutationDigest& digest, std::uint32_t lane,
-                         ControlSchedule* staging, Copy&& copy) {
+bool ScheduleCache::read(const PermutationDigest& digest, std::uint32_t lane, Copy&& copy) {
   for (bool promoted = false;; promoted = true) {
     std::size_t cell = 0;
     std::size_t probes = 0;
@@ -264,7 +245,7 @@ bool ScheduleCache::read(const PermutationDigest& digest, std::uint32_t lane,
       return true;
     }
     if (promoted || warm_view_.load(std::memory_order_acquire) == nullptr ||
-        !promote_warm(digest, lane, staging)) {
+        !promote_warm(digest, lane)) {
       break;
     }
   }
@@ -275,7 +256,7 @@ bool ScheduleCache::read(const PermutationDigest& digest, std::uint32_t lane,
 bool ScheduleCache::replay(const CompiledBnb& plan, const PermutationDigest& digest,
                            const Permutation& pi, RouteScratch& scratch,
                            CompiledBnb::Output& out) {
-  return read(digest, kLaneGeneral, &scratch.schedule_slot(), [&](const Frame& f) {
+  return read(digest, kLaneGeneral, [&](const Frame& f) {
     GeneralView view;
     if (!view_general(f, view) || view.m != plan.m()) return false;
     // Replay the input->line map straight off the frame (relaxed loads,
@@ -308,15 +289,12 @@ bool ScheduleCache::find(const PermutationDigest& digest, ControlSchedule& out) 
     }
   } lookup_timer;
 #endif
-  const bool hit = read(digest, kLaneGeneral, &out, [&](const Frame& f) {
+  const bool hit = read(digest, kLaneGeneral, [&](const Frame& f) {
     GeneralView view;
     if (!view_general(f, view)) return false;
-    // Copy-out: allocation-free when `out` already has this shape.
-    out.reshape(view.m, view.columns, view.control_words);
-    std::uint64_t* ctl = out.ctl_data();
-    for (std::size_t w = 0; w < view.columns * view.control_words; ++w) {
-      ctl[w] = view.ctl[w].load(std::memory_order_relaxed);
-    }
+    // Copy-out of the line map, the whole entry: allocation-free once
+    // `out` has held a map of this size.
+    out.reshape(view.m);
     std::uint32_t* lines = out.lines_data();
     for (std::size_t w = 0; w < (std::size_t{1} << view.m) / 2; ++w) {
       const std::uint64_t word = view.lines[w].load(std::memory_order_relaxed);
@@ -333,7 +311,7 @@ bool ScheduleCache::find_small(const PermutationDigest& digest, SmallSchedule& o
   static_assert(std::is_trivially_copyable_v<SmallSchedule>,
                 "the small lane stages SmallSchedule as raw words");
   std::uint64_t words[kSmallWords];
-  const bool hit = read(digest, kLaneSmall, nullptr, [&](const Frame& f) {
+  const bool hit = read(digest, kLaneSmall, [&](const Frame& f) {
     for (std::size_t i = 0; i < kSmallWords; ++i) {
       words[i] = f.small[i].load(std::memory_order_relaxed);
     }
@@ -345,9 +323,14 @@ bool ScheduleCache::find_small(const PermutationDigest& digest, SmallSchedule& o
 
 void ScheduleCache::insert(const PermutationDigest& digest, const ControlSchedule& schedule) {
   BNB_EXPECTS(schedule.solved());
+  insert_lines(digest, schedule.m(), schedule.line_of_input());
+}
+
+void ScheduleCache::insert_lines(const PermutationDigest& digest, unsigned m,
+                                 std::span<const std::uint32_t> lines) {
   std::scoped_lock lock(mu_);
   Frame& frame = claim_locked(digest);
-  write_general_locked(frame, digest, schedule);
+  write_general_locked(frame, digest, m, lines);
   publish_locked(digest, frame);
 }
 
@@ -510,11 +493,8 @@ void ScheduleCache::rebuild_table_locked() noexcept {
 }
 
 void ScheduleCache::write_general_locked(Frame& frame, const PermutationDigest& digest,
-                                         const ControlSchedule& schedule) {
-  const unsigned m = schedule.m();
-  const std::size_t n = std::size_t{1} << m;
-  const std::size_t ctl_words = schedule.columns() * schedule.control_words();
-  const std::size_t payload_words = ctl_words + n / 2;
+                                         unsigned m, std::span<const std::uint32_t> lines) {
+  const std::size_t payload_words = (std::size_t{1} << m) / 2;
   std::atomic<std::uint64_t>* buf = frame.gbuf.load(std::memory_order_relaxed);
   if (buf == nullptr || buf[0].load(std::memory_order_relaxed) < payload_words) {
     // First general entry in this frame, or one larger than any before:
@@ -526,8 +506,6 @@ void ScheduleCache::write_general_locked(Frame& frame, const PermutationDigest& 
     buf = owned.get();
     buffers_.push_back(std::move(owned));
   }
-  const std::span<const std::uint32_t> lines = schedule.line_of_input();
-  const std::uint64_t* ctl = schedule.ctl_data();
 
   const std::uint32_t q = frame.seq.load(std::memory_order_relaxed);
   frame.seq.store(q + 1, std::memory_order_relaxed);
@@ -535,18 +513,10 @@ void ScheduleCache::write_general_locked(Frame& frame, const PermutationDigest& 
   frame.digest_lo.store(digest.lo, std::memory_order_relaxed);
   frame.digest_hi.store(digest.hi, std::memory_order_relaxed);
   frame.g_m.store(m, std::memory_order_relaxed);
-  frame.g_columns.store(static_cast<std::uint32_t>(schedule.columns()),
-                        std::memory_order_relaxed);
-  frame.g_control_words.store(static_cast<std::uint32_t>(schedule.control_words()),
-                              std::memory_order_relaxed);
   frame.gbuf.store(buf, std::memory_order_relaxed);
-  for (std::size_t w = 0; w < ctl_words; ++w) {
-    buf[1 + w].store(ctl[w], std::memory_order_relaxed);
-  }
-  std::atomic<std::uint64_t>* packed = buf + 1 + ctl_words;
-  for (std::size_t w = 0; w < n / 2; ++w) {
-    packed[w].store(lines[2 * w] | (std::uint64_t{lines[2 * w + 1]} << 32),
-                    std::memory_order_relaxed);
+  for (std::size_t w = 0; w < payload_words; ++w) {
+    buf[1 + w].store(lines[2 * w] | (std::uint64_t{lines[2 * w + 1]} << 32),
+                     std::memory_order_relaxed);
   }
   frame.lane.store(kLaneGeneral, std::memory_order_relaxed);
   frame.ref.store(0, std::memory_order_relaxed);  // hits earn it clock passes

@@ -24,13 +24,18 @@
 //     with relaxed atomic loads, revalidate; a torn read retries and then
 //     becomes an ordinary miss.  Readers never block writers and writers
 //     never block readers.
+//   * A GENERAL ENTRY IS ITS LINE MAP: the network self-routes (Thm. 2),
+//     so a cached schedule replays from its composed input->line map
+//     alone; a frame stores the map packed two u32 lines per word and no
+//     switch controls.
 //   * ZERO-ALLOC WARM HITS: the general lane replays STRAIGHT FROM THE
 //     FRAME — replay() hands CompiledBnb::apply_packed_lines the frame's
 //     packed input->line map; no schedule copy, no shared_ptr, no heap.
 //     route() and ResilientRouter both hit through replay(); find()
 //     copy-out stays for callers that hand the schedule to another thread
-//     (StreamEngine).  The small lane copies its ~0.2 KB value type
-//     through the frame's staging words.  A frame's payload buffer is
+//     (StreamEngine): it copies the line map into a replay-only
+//     ControlSchedule that apply() accepts.  The small lane copies its
+//     ~0.2 KB value type through the frame's staging words.  A frame's payload buffer is
 //     TYPE-STABLE: it lives until the cache dies (a frame swaps it only
 //     for a larger one), so a reader racing an eviction copies
 //     stale-but-owned memory and the sequence check rejects the result,
@@ -47,7 +52,7 @@
 //     invalidate(digest) frees the frame from whichever lane holds it
 //     (counted in `quarantined`) — see docs/RELIABILITY.md.
 //   * PERSISTENCE (core/schedule_store.hpp): save()/load() serialize the
-//     live entries as bnb.schedstore.v2 (versioned, CRC-per-record; save
+//     live entries as bnb.schedstore.v3 (versioned, CRC-per-record; save
 //     writes a temp file, fsyncs it and renames it over the old store),
 //     and warm_start() memory-maps a store read-only so the first request
 //     after a process restart replays at warm speed — a table miss
@@ -83,7 +88,7 @@ class WarmStore;  // core/schedule_store.hpp: mmap-backed read-only store
 
 /// 128-bit permutation fingerprint (mixes the size and every image
 /// element through four independent multiply-fold lanes); the
-/// ScheduleCache key and the bnb.schedstore.v2 record key.
+/// ScheduleCache key and the bnb.schedstore.v3 record key.
 struct PermutationDigest {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -150,16 +155,18 @@ class ScheduleCache {
                             const Permutation& pi, RouteScratch& scratch,
                             CompiledBnb::Output& out);
 
-  /// Full-fidelity general-lane lookup: copy the cached schedule (packed
-  /// controls AND line map) into `out`.  Allocation-free when `out`
-  /// already has the entry's shape (e.g. a RouteScratch::schedule_slot()
-  /// warmed on the same plan).  Counts a hit or a miss; a small-lane
-  /// entry under this digest is a miss for this lane.
+  /// Copy-out general-lane lookup: copy the cached line map into `out`,
+  /// which becomes a replay-only schedule (m() set, solved(), no controls
+  /// — see ControlSchedule) that apply() and apply_words() accept.
+  /// Allocation-free once `out` has held a map of this size (e.g. a
+  /// RouteScratch::schedule_slot() warmed on the same plan).  Counts a hit
+  /// or a miss; a small-lane entry under this digest is a miss for this
+  /// lane.
   [[nodiscard]] bool find(const PermutationDigest& digest, ControlSchedule& out);
 
-  /// Insert (or refresh) a solved schedule — the payload is copied into
-  /// the frame's type-stable buffer; the caller keeps ownership of
-  /// `schedule`.  Evicts one frame (clock over frames) when the cache is
+  /// Insert (or refresh) a solved schedule — its line map, the whole
+  /// entry, is copied into the frame's type-stable buffer; the caller
+  /// keeps ownership of `schedule`.  Evicts one frame (clock over frames) when the cache is
   /// full.
   /// Does not touch the hit/miss counters.
   void insert(const PermutationDigest& digest, const ControlSchedule& schedule);
@@ -197,7 +204,7 @@ class ScheduleCache {
   /// Drop every entry (counters are kept; an attached warm store stays).
   void clear();
 
-  // -- persistence (bnb.schedstore.v2; core/schedule_store.cpp) -----------
+  // -- persistence (bnb.schedstore.v3; core/schedule_store.cpp) -----------
 
   /// Serialize every live entry to `path` (header + one CRC'd record per
   /// entry).  Crash-safe: the bytes go to `<path>.tmp.<pid>` in the same
@@ -212,8 +219,8 @@ class ScheduleCache {
   /// the header and every record CRC up front.  Returns the number of
   /// records inserted (counted in bnb_cache_store_loaded_total).  Throws
   /// schedule_store_error on open failure, bad magic/version/endianness
-  /// (a v1 store included: its digests predate the lane-parallel digest),
-  /// or any CRC mismatch — a corrupt store never half-loads silently.
+  /// (a v1 or v2 store included: see core/schedule_store.hpp), or any CRC
+  /// mismatch — a corrupt store never half-loads silently.
   std::size_t load(const std::string& path);
 
   /// Attach `path` as a read-only memory-mapped warm store.  The header
@@ -248,10 +255,9 @@ class ScheduleCache {
   /// One entry frame.  Every field a reader touches is an atomic accessed
   /// with relaxed ordering inside the seqlock window; `seq` carries the
   /// acquire/release edges.  The general payload lives in a type-stable
-  /// buffer: word 0 is the immutable payload capacity, then the packed
-  /// controls (g_columns * g_control_words words), then the input->line
-  /// map packed two u32 lines per word.  The small payload is staged in
-  /// place as raw SmallSchedule bytes.
+  /// buffer: word 0 is the immutable payload capacity, then the
+  /// input->line map packed two u32 lines per word.  The small payload is
+  /// staged in place as raw SmallSchedule bytes.
   struct Frame {
     std::atomic<std::uint32_t> seq{0};    ///< even = stable, odd = writer inside
     std::atomic<std::uint32_t> lane{kEmpty};
@@ -259,8 +265,6 @@ class ScheduleCache {
     std::atomic<std::uint32_t> g_m{0};
     std::atomic<std::uint64_t> digest_lo{0};
     std::atomic<std::uint64_t> digest_hi{0};
-    std::atomic<std::uint32_t> g_columns{0};
-    std::atomic<std::uint32_t> g_control_words{0};
     std::atomic<std::atomic<std::uint64_t>*> gbuf{nullptr};
     std::atomic<std::uint64_t> small[kSmallWords] = {};
   };
@@ -268,11 +272,10 @@ class ScheduleCache {
   // The one read loop behind replay(), find() and find_small(): probe,
   // seqlock-validate `copy(frame)` (which returns false on a shape it
   // cannot use), retry torn reads, bump the reference count and count the
-  // hit; on a table miss promote a warm-store record of `lane` (decoding a
-  // general one through `staging`) and read once more; else count a miss.
+  // hit; on a table miss promote a warm-store record of `lane` and read
+  // once more; else count a miss.
   template <class Copy>
-  [[nodiscard]] bool read(const PermutationDigest& digest, std::uint32_t lane,
-                          ControlSchedule* staging, Copy&& copy);
+  [[nodiscard]] bool read(const PermutationDigest& digest, std::uint32_t lane, Copy&& copy);
 
   // The frame holding `digest` in `table`, or nullptr after a free cell or
   // a full cycle; `cell` is set to its cell index.  Lock-free; `probes`
@@ -280,6 +283,10 @@ class ScheduleCache {
   [[nodiscard]] Frame* find_frame(const std::atomic<std::uint32_t>* table,
                                   const PermutationDigest& digest, std::size_t& cell,
                                   std::size_t& probes) const noexcept;
+
+  // insert() of a bare line map of 2^m lines (also a store record's).
+  void insert_lines(const PermutationDigest& digest, unsigned m,
+                    std::span<const std::uint32_t> lines);
 
   // Writer-side helpers; all require mu_ held.
   [[nodiscard]] Frame& claim_locked(const PermutationDigest& digest);
@@ -289,16 +296,15 @@ class ScheduleCache {
   void unlink_locked(Frame& frame) noexcept;
   void release_locked(Frame& frame);
   void rebuild_table_locked() noexcept;
-  void write_general_locked(Frame& frame, const PermutationDigest& digest,
-                            const ControlSchedule& schedule);
+  void write_general_locked(Frame& frame, const PermutationDigest& digest, unsigned m,
+                            std::span<const std::uint32_t> lines);
   void write_small_locked(Frame& frame, const PermutationDigest& digest,
                           const SmallSchedule& schedule);
 
   // Warm-store fallback (core/schedule_store.cpp): promote `digest`'s
   // record of `lane` into a frame and count a store load; false when the
   // store has no such record or it fails its CRC or shape check.
-  [[nodiscard]] bool promote_warm(const PermutationDigest& digest, std::uint32_t lane,
-                                  ControlSchedule* staging);
+  [[nodiscard]] bool promote_warm(const PermutationDigest& digest, std::uint32_t lane);
 
   std::size_t capacity_;    ///< frame count = max live entries
   std::size_t table_size_;  ///< power of two >= 2 * capacity_

@@ -1,4 +1,4 @@
-// bnb.schedstore.v2 codec + the ScheduleCache persistence entry points
+// bnb.schedstore.v3 codec + the ScheduleCache persistence entry points
 // (save/load/warm_start and the warm-store promotion).  See
 // schedule_store.hpp for the format contract.
 #include "core/schedule_store.hpp"
@@ -28,9 +28,10 @@ namespace bnb {
 namespace {
 
 constexpr char kMagic[8] = {'B', 'N', 'B', 'S', 'C', 'H', 'D', '1'};
-/// v2 keys records by the lane-parallel digest; v1 files carry digests of
-/// the old serial digest and are refused (stores are rebuildable caches).
-constexpr std::uint32_t kVersion = 2;
+/// v3 stores a general record as its bare line map; v2 records also
+/// carried switch controls and v1 keys came from the old serial digest.
+/// Both are refused (stores are rebuildable caches).
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kEndianProbe = 0x01020304U;
 /// Format-level promise: stored schedules replay bit-identically on every
 /// kernel tier.  Bumped only if a future format ever stores tier-specific
@@ -58,14 +59,6 @@ struct RecordHeader {
 };
 static_assert(sizeof(RecordHeader) == 32, "record layout is part of the format");
 
-struct GeneralPayloadHeader {
-  std::uint32_t columns;
-  std::uint32_t control_words;
-  std::uint32_t lines;  ///< 2^m
-  std::uint32_t reserved;
-};
-static_assert(sizeof(GeneralPayloadHeader) == 16, "payload layout is part of the format");
-
 void append_bytes(std::vector<unsigned char>& out, const void* p, std::size_t n) {
   const auto* b = static_cast<const unsigned char*>(p);
   out.insert(out.end(), b, b + n);
@@ -83,31 +76,19 @@ bool keyed_by_its_lines(const WarmStore::Record& r,
   return digest_image(lines) == r.digest;
 }
 
-/// Parse + shape-validate a general record payload into `out`.  Returns
-/// false on any inconsistency (the caller treats that as corruption).
-bool decode_general(const WarmStore::Record& r, ControlSchedule& out) {
-  if (r.payload_bytes < sizeof(GeneralPayloadHeader)) return false;
-  GeneralPayloadHeader ph;
-  std::memcpy(&ph, r.payload, sizeof(ph));
-  const std::uint32_t m = r.m;
-  if (m < 1 || m >= 26) return false;
-  if (ph.lines != (std::uint32_t{1} << m)) return false;
-  if (ph.columns != m * (m + 1) / 2 || ph.control_words < 1) return false;
-  const std::size_t ctl_words = std::size_t{ph.columns} * ph.control_words;
-  const std::size_t need =
-      sizeof(GeneralPayloadHeader) + ctl_words * 8 + std::size_t{ph.lines} * 4;
-  if (r.payload_bytes != need) return false;
-  out.reshape(m, ph.columns, ph.control_words);
-  std::memcpy(out.ctl_data(), r.payload + sizeof(GeneralPayloadHeader), ctl_words * 8);
-  std::memcpy(out.lines_data(), r.payload + sizeof(GeneralPayloadHeader) + ctl_words * 8,
-              std::size_t{ph.lines} * 4);
-  const std::uint32_t* lines = out.lines_data();
-  for (std::uint32_t j = 0; j < ph.lines; ++j) {
-    if (lines[j] >= ph.lines) return false;  // out-of-range line: corrupt
+/// Copy general record `r`'s line map into `lines`.  Returns false when
+/// the payload is not exactly 2^m in-range lines that digest to the
+/// record's key (the caller treats that as corruption).
+bool decode_general(const WarmStore::Record& r, std::vector<std::uint32_t>& lines) {
+  if (r.m < 1 || r.m >= 26) return false;
+  const std::size_t n = std::size_t{1} << r.m;
+  if (r.payload_bytes != n * sizeof(std::uint32_t)) return false;
+  lines.resize(n);
+  std::memcpy(lines.data(), r.payload, r.payload_bytes);
+  for (const std::uint32_t line : lines) {
+    if (line >= n) return false;  // out-of-range line: corrupt
   }
-  if (!keyed_by_its_lines(r, out.line_of_input())) return false;
-  out.set_solved(true);
-  return true;
+  return keyed_by_its_lines(r, lines);
 }
 
 /// Parse a small record payload, re-binding apply8 from THIS process's
@@ -345,21 +326,10 @@ std::size_t ScheduleCache::save(const std::string& path) {
       std::vector<unsigned char> payload;
       if (lane == kLaneGeneral) {
         const std::uint32_t m = f.g_m.load(std::memory_order_relaxed);
-        GeneralPayloadHeader ph = {};
-        ph.columns = f.g_columns.load(std::memory_order_relaxed);
-        ph.control_words = f.g_control_words.load(std::memory_order_relaxed);
-        ph.lines = std::uint32_t{1} << m;
-        const std::size_t ctl_words = std::size_t{ph.columns} * ph.control_words;
-        const std::atomic<std::uint64_t>* buf = f.gbuf.load(std::memory_order_relaxed);
-        payload.reserve(sizeof(ph) + ctl_words * 8 + std::size_t{ph.lines} * 4);
-        append_bytes(payload, &ph, sizeof(ph));
-        for (std::size_t w = 0; w < ctl_words; ++w) {
-          const std::uint64_t word = buf[1 + w].load(std::memory_order_relaxed);
-          append_bytes(payload, &word, 8);
-        }
-        const std::atomic<std::uint64_t>* packed = buf + 1 + ctl_words;
-        for (std::uint32_t j = 0; j < ph.lines; j += 2) {
-          const std::uint64_t word = packed[j >> 1].load(std::memory_order_relaxed);
+        const std::atomic<std::uint64_t>* packed = f.gbuf.load(std::memory_order_relaxed) + 1;
+        payload.reserve(std::size_t{4} << m);
+        for (std::size_t w = 0; w < (std::size_t{1} << m) / 2; ++w) {
+          const std::uint64_t word = packed[w].load(std::memory_order_relaxed);
           const std::uint32_t pair[2] = {static_cast<std::uint32_t>(word),
                                          static_cast<std::uint32_t>(word >> 32)};
           append_bytes(payload, pair, sizeof(pair));
@@ -409,9 +379,9 @@ std::size_t ScheduleCache::load(const std::string& path) {
   WarmStore store(path);
   struct Decoded {
     PermutationDigest digest;
-    bool small = false;
-    ControlSchedule general;
-    SmallSchedule small_sched;
+    std::uint32_t m = 0;
+    std::vector<std::uint32_t> lines;  ///< general records; empty for small ones
+    SmallSchedule small;               ///< small records
   };
   std::vector<Decoded> records;
   records.reserve(store.records());
@@ -423,15 +393,15 @@ std::size_t ScheduleCache::load(const std::string& path) {
     }
     Decoded d;
     d.digest = r.digest;
+    d.m = r.m;
     if (r.kind == WarmStore::kGeneralRecord) {
-      if (!decode_general(r, d.general)) {
+      if (!decode_general(r, d.lines)) {
         throw schedule_store_error("schedule store: '" + path + "' record " +
                                    std::to_string(i) + " is malformed");
       }
     } else if (r.kind == WarmStore::kSmallRecord) {
-      d.small = true;
-      d.small_sched = decode_small(r);
-      if (!d.small_sched.solved()) {
+      d.small = decode_small(r);
+      if (!d.small.solved()) {
         throw schedule_store_error("schedule store: '" + path + "' record " +
                                    std::to_string(i) + " is malformed");
       }
@@ -442,10 +412,10 @@ std::size_t ScheduleCache::load(const std::string& path) {
     records.push_back(std::move(d));
   }
   for (const Decoded& d : records) {
-    if (d.small) {
-      insert_small(d.digest, d.small_sched);
+    if (d.lines.empty()) {
+      insert_small(d.digest, d.small);
     } else {
-      insert(d.digest, d.general);
+      insert_lines(d.digest, d.m, d.lines);
     }
   }
   store_loaded_.inc(records.size());
@@ -463,8 +433,7 @@ std::size_t ScheduleCache::warm_start(const std::string& path) {
   return n;
 }
 
-bool ScheduleCache::promote_warm(const PermutationDigest& digest, std::uint32_t lane,
-                                 ControlSchedule* staging) {
+bool ScheduleCache::promote_warm(const PermutationDigest& digest, std::uint32_t lane) {
   const WarmStore* ws = warm_view_.load(std::memory_order_acquire);
   if (ws == nullptr) return false;
   const WarmStore::Record* r = ws->lookup(digest);
@@ -473,8 +442,9 @@ bool ScheduleCache::promote_warm(const PermutationDigest& digest, std::uint32_t 
   // Absent, the other lane's, or corrupt: a miss.
   if (r == nullptr || r->kind != kind || !ws->verify(*r)) return false;
   if (lane == kLaneGeneral) {
-    if (!decode_general(*r, *staging)) return false;
-    insert(digest, *staging);
+    std::vector<std::uint32_t> lines;
+    if (!decode_general(*r, lines)) return false;
+    insert_lines(digest, r->m, lines);
   } else {
     const SmallSchedule small = decode_small(*r);
     if (!small.solved()) return false;

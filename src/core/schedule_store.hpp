@@ -1,22 +1,22 @@
-// bnb.schedstore.v2 — versioned binary persistence for the schedule cache.
+// bnb.schedstore.v3 — versioned binary persistence for the schedule cache.
 //
 // A solved schedule is expensive to produce (the full column-by-column
-// control solve) but cheap to describe: packed switch controls plus the
-// composed input->line map for the general lane, a SmallSchedule::Wire for
-// the small lane.  ScheduleCache::save() serializes every live entry into
+// control solve) but cheap to describe: the composed input->line map for
+// the general lane (the network self-routes, Thm. 2, so a replay reads
+// nothing else), a SmallSchedule::Wire for the small lane.  ScheduleCache::save() serializes every live entry into
 // this format; load() rebuilds a cache eagerly; warm_start() attaches the
 // file as a read-only memory map so a fresh process serves its FIRST
 // request at warm-cache speed, paying only a lazy per-record CRC check.
 //
 // File layout (all integers little-endian, the header pins endianness):
 //
-//   StoreHeader   32 B   magic "BNBSCHD1", version 2, endianness probe,
+//   StoreHeader   32 B   magic "BNBSCHD1", version 3, endianness probe,
 //                        kernel-invariance tag, record count, header CRC32
 //   Record        32 B   digest (128-bit), kind (general | small), m,
 //        header          payload byte count, payload CRC32
 //   Record        8-aligned payload:
-//        payload         general: {columns, control_words, lines, pad} +
-//                                 packed controls (u64[]) + line map (u32[])
+//        payload         general: the line map, u32[2^m] — exactly
+//                                 4 * 2^m bytes, the count taken from m
 //                        small:   SmallSchedule::Wire (the apply8 kernel
 //                                 binding is NOT stored — it is re-bound
 //                                 from the loading process's dispatch)
@@ -27,10 +27,12 @@
 // AVX-512 host loads on a scalar host and vice versa — asserted per tier by
 // tests/test_schedule_store.cpp and enforced in CI's cache-persistence job.
 //
-// Version 2 keys records by the lane-parallel digest_permutation (four
-// multiply-fold chains); a version 1 file was keyed by the old serial
-// digest and is refused with a diagnostic naming both versions.  Stores
-// are rebuildable caches: delete the file and save again.
+// Version 3 keys records by the lane-parallel digest_permutation (four
+// multiply-fold chains) and stores a general record as its bare line map.
+// A version 2 file also carried every column's switch controls behind a
+// payload header, a version 1 file was keyed by the old serial digest;
+// both are refused with a diagnostic naming both versions.  Stores are
+// rebuildable caches: delete the file and save again.
 //
 // save() is crash-safe: it writes `<path>.tmp.<pid>` in the same
 // directory, fsyncs it, renames it over `path` and syncs the directory,
@@ -67,7 +69,7 @@ class schedule_store_error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A read-only, memory-mapped bnb.schedstore.v2 file with a sorted digest
+/// A read-only, memory-mapped bnb.schedstore.v3 file with a sorted digest
 /// index.  Construction validates the header and walks the record bounds;
 /// payload CRCs are checked by verify(), once, at first use of a record.
 /// The map lives until destruction; ScheduleCache retires (never frees)

@@ -113,7 +113,7 @@ class SmallSchedule {
     std::uint8_t pad[5] = {};  ///< explicit tail padding: CRC'd bytes are all defined
   };
   static_assert(2 * kMaxM - 1 == 11 && sizeof(Wire) == 176,
-                "Wire layout is part of bnb.schedstore.v2");
+                "Wire layout is part of bnb.schedstore.v3");
 
   [[nodiscard]] Wire to_wire() const noexcept {
     Wire w;

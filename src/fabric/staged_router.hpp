@@ -70,7 +70,9 @@ class StagedBnbRouter {
   /// model of a fabric whose switches were preset by an earlier control
   /// cycle.  Clean fabric only: fault overlays need the arbiter path of
   /// step().  The schedule must come from plan().solve() (or an equal plan
-  /// of the same m); replayed jobs are bit-identical to stepped ones.
+  /// of the same m); replayed jobs are bit-identical to stepped ones.  A
+  /// replay-only schedule (ScheduleCache::find's copy-out) carries no
+  /// controls and is refused with contract_violation.
   void step_replay(StagedJob& job, const ControlSchedule& schedule) const;
   [[nodiscard]] bool finished(const StagedJob& job) const {
     return job.column >= total_columns();

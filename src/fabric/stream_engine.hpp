@@ -167,8 +167,8 @@ class StreamEngine {
     /// solve / apply of that item (solve_hook from any solver thread).
     /// Must return; may throw (the throw is treated exactly like the
     /// solve's or apply's own failure).
-    std::function<void(std::size_t)> solve_hook;
-    std::function<void(std::size_t)> apply_hook;
+    std::function<void(std::size_t)> solve_hook{};
+    std::function<void(std::size_t)> apply_hook{};
   };
 
   struct Stats {

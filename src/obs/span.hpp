@@ -206,5 +206,5 @@ class NullSpan {
 #define BNB_OBS_SPAN(var, phase) ::bnb::obs::LiveSpan var { phase }
 #else
 #define BNB_OBS_COMPILED 0
-#define BNB_OBS_SPAN(var, phase) ::bnb::obs::NullSpan var {}
+#define BNB_OBS_SPAN(var, phase) [[maybe_unused]] ::bnb::obs::NullSpan var {}
 #endif

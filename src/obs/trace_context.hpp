@@ -120,7 +120,7 @@ class NullTraceScope {
   ::bnb::obs::TraceScope var { (trace_id), (parent_id) }
 #else
 #define BNB_OBS_TRACE_ROOT(var) \
-  ::bnb::obs::NullTraceScope var { ::bnb::obs::NullTraceScope::kRoot }
+  [[maybe_unused]] ::bnb::obs::NullTraceScope var { ::bnb::obs::NullTraceScope::kRoot }
 #define BNB_OBS_TRACE_CHILD(var, trace_id, parent_id) \
-  ::bnb::obs::NullTraceScope var { (trace_id), (parent_id) }
+  [[maybe_unused]] ::bnb::obs::NullTraceScope var { (trace_id), (parent_id) }
 #endif

@@ -70,7 +70,7 @@ TEST(CompiledBnb, RandomPermutationsMediumSizes) {
   // m = 14 rides along with fewer rounds: its arbiter level stacks are the
   // deepest exercised anywhere and once hid a scratch-sizing overflow.
   constexpr std::pair<unsigned, int> kCases[] = {{6, 1000}, {10, 1000}, {12, 1000}, {14, 40}};
-  for (const auto [m, rounds] : kCases) {
+  for (const auto& [m, rounds] : kCases) {
     const BnbNetwork ref(m);
     const CompiledBnb engine(m);
     RouteScratch scratch;

@@ -12,8 +12,8 @@
 // SIMD lane bug that survives this file does not exist.
 //
 // The tier list is discovered at runtime (kernels::supported_kernel_sets),
-// so the same test binary checks scalar everywhere, avx2/avx512 on x86
-// hosts that have them, and neon on aarch64.
+// so the same test binary checks scalar everywhere and avx2/avx512 on x86
+// hosts that have them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,7 +84,7 @@ TEST(Kernels, EnvOverrideParsing) {
     EXPECT_EQ(kernels::kernels_from_env(), set) << set->name;
   }
 
-  for (const char* rejected : {"avx1024", "wide"}) {
+  for (const char* rejected : {"avx1024", "wide", "neon"}) {
     ::setenv("BNB_KERNELS", rejected, 1);
     EXPECT_THROW((void)kernels::kernels_from_env(), std::runtime_error)
         << rejected << ": a misspelled or retired override must fail loudly, "
@@ -133,7 +133,9 @@ TEST(Kernels, ColumnArbiterMatchesBehavioralSplitters) {
             set->column_arbiter(in.data(), n, p, nullptr, ctl.data(), work.data());
         ASSERT_EQ(levels, splitter.arbiter_delay_fn_units()) << set->name << " p=" << p;
         ASSERT_EQ(unpack_bits(ctl, n / 2), expect) << set->name << " m=" << m << " p=" << p;
-        if (n / 2 < 64) ASSERT_EQ(ctl[0] >> (n / 2), 0U) << set->name << " zero tail";
+        if (n / 2 < 64) {
+          ASSERT_EQ(ctl[0] >> (n / 2), 0U) << set->name << " zero tail";
+        }
       }
     }
   }
@@ -227,7 +229,9 @@ TEST(Kernels, SlicePassMatchesItsThreePassComposition) {
         set->slice_pass(in.data(), nbits, ctl.data(), chunk, got.data());
         ASSERT_EQ(unpack_bits(got, nbits), moved)
             << set->name << " slice_pass nbits=" << nbits << " chunk=" << chunk;
-        if (nbits < 64) ASSERT_EQ(got[0] >> nbits, 0U) << set->name << " zero tail";
+        if (nbits < 64) {
+          ASSERT_EQ(got[0] >> nbits, 0U) << set->name << " zero tail";
+        }
       }
     }
   }

@@ -5,8 +5,9 @@
 // and ControlTrace capture must BYPASS the cache (fault semantics are
 // never served from, or recorded into, it), clock eviction over frames
 // must spare recently-hit entries and evict an untouched one within
-// `capacity` inserts (no table rebuild lets it escape), warm hits in BOTH
-// lanes must be
+// `capacity` inserts (no table rebuild lets it escape), find() must copy
+// out only the line map (a replay-only schedule apply() accepts and the
+// column-level consumers refuse), warm hits in BOTH lanes must be
 // allocation-free, and one cache must stay coherent under concurrent
 // mixed hit/miss traffic and under invalidate() racing a reader storm
 // (the seqlock proof, run under the tsan preset).
@@ -19,11 +20,13 @@
 #include <vector>
 
 #include "alloc_count_hook.hpp"
+#include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "core/compiled_bnb.hpp"
 #include "core/kernels/kernel_set.hpp"
 #include "core/schedule_cache.hpp"
 #include "core/small_schedule.hpp"
+#include "fabric/staged_router.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/injection.hpp"
 #include "perm/generators.hpp"
@@ -644,6 +647,133 @@ TEST(ScheduleCache, GeneralLaneWarmHitsAllocateNothing) {
   }
   EXPECT_EQ(testhook::allocation_count(), 0U)
       << "same-shape find() copy-outs must reuse the destination's buffers";
+}
+
+TEST(ScheduleCache, FindCopiesOnlyTheLineMapAndApplyReplaysIt) {
+  // A general entry is its input->line map: find() hands back a
+  // replay-only schedule (m set, solved, no controls) whose map equals the
+  // solved one, apply() and apply_words() on it equal a cold route for
+  // every size, and the column-level consumers refuse it loudly instead of
+  // replaying missing controls.
+  Rng rng(0xCAC4E20);
+  for (unsigned m = 1; m <= 14; ++m) {
+    const std::size_t n = std::size_t{1} << m;
+    const CompiledBnb plan(m);
+    RouteScratch scratch;
+    ScheduleCache cache(4, /*shards=*/1);
+    const Permutation pi = random_perm(n, rng);
+    ControlSchedule solved;
+    plan.solve(pi, scratch, solved);
+    const PermutationDigest digest = digest_permutation(pi);
+    cache.insert(digest, solved);
+
+    ControlSchedule fetched;
+    ASSERT_TRUE(cache.find(digest, fetched)) << "m=" << m;
+    EXPECT_EQ(fetched.m(), m);
+    EXPECT_TRUE(fetched.solved()) << "m=" << m;
+    EXPECT_EQ(fetched.columns(), 0U) << "m=" << m << ": find() copied controls";
+    EXPECT_EQ(fetched.control_words(), 0U) << "m=" << m;
+    EXPECT_FALSE(fetched.prepared_for(plan)) << "m=" << m;
+    ASSERT_TRUE(std::equal(fetched.line_of_input().begin(), fetched.line_of_input().end(),
+                           solved.line_of_input().begin(), solved.line_of_input().end()))
+        << "m=" << m << ": the copied line map differs from the solved one";
+
+    const auto cold = plan.route(pi, scratch);
+    const std::vector<std::uint32_t> cold_dest(cold.dest.begin(), cold.dest.end());
+    const std::vector<Word> cold_out(cold.outputs.begin(), cold.outputs.end());
+    const auto replayed = plan.apply(fetched, pi, scratch);
+    ASSERT_EQ(replayed.self_routed, cold.self_routed) << "m=" << m;
+    for (std::size_t line = 0; line < n; ++line) {
+      ASSERT_EQ(replayed.dest[line], cold_dest[line]) << "m=" << m << " dest " << line;
+      ASSERT_EQ(replayed.outputs[line].address, cold_out[line].address) << "m=" << m;
+      ASSERT_EQ(replayed.outputs[line].payload, cold_out[line].payload) << "m=" << m;
+    }
+    std::vector<Word> words(n);
+    for (std::size_t j = 0; j < n; ++j) words[j] = Word{pi(j), std::uint64_t{j}};
+    const auto replayed_words = plan.apply_words(fetched, words, scratch);
+    ASSERT_TRUE(replayed_words.self_routed) << "m=" << m;
+    ASSERT_TRUE(std::equal(replayed_words.dest.begin(), replayed_words.dest.end(),
+                           cold_dest.begin()))
+        << "m=" << m;
+
+    if (m == 4 || m == 9) {
+      const StagedBnbRouter staged(m);
+      StagedJob job = staged.start(words);
+      EXPECT_THROW(staged.step_replay(job, fetched), contract_violation) << "m=" << m;
+    }
+    if (plan.small_capable()) {
+      EXPECT_THROW((void)plan.flatten_small(fetched), contract_violation) << "m=" << m;
+    }
+  }
+}
+
+TEST(ScheduleCache, FindAndSolveAlternatingOnOneScheduleAllocateNothing) {
+  // StreamEngine's recirculated ring slots and servebench's scratch slot
+  // take find() copy-outs and solves by turns.  The replay-only reshape
+  // keeps the controls' capacity, so once each has run the alternation
+  // allocates nothing.
+  Rng rng(0xCAC4E21);
+  const CompiledBnb plan(10);
+  RouteScratch scratch;
+  ScheduleCache cache(8, /*shards=*/1);
+  std::vector<Permutation> perms;
+  for (int i = 0; i < 4; ++i) perms.push_back(random_perm(plan.inputs(), rng));
+  std::vector<PermutationDigest> digests;
+  for (const auto& pi : perms) digests.push_back(digest_permutation(pi));
+  ControlSchedule slot;
+  for (std::size_t i = 0; i < 2; ++i) {
+    plan.solve(perms[i], scratch, slot);
+    cache.insert(digests[i], slot);
+  }
+  ASSERT_TRUE(cache.find(digests[0], slot));  // first copy-out
+  plan.solve(perms[2], scratch, slot);        // first solve after one
+
+  testhook::reset_allocation_count();
+  for (std::size_t round = 0; round < 8; ++round) {
+    const std::size_t hit = round % 2;
+    ASSERT_TRUE(cache.find(digests[hit], slot));
+    ASSERT_TRUE(plan.apply(slot, perms[hit], scratch).self_routed);
+    const std::size_t miss = 2 + round % 2;
+    plan.solve(perms[miss], scratch, slot);
+    ASSERT_TRUE(plan.apply(slot, perms[miss], scratch).self_routed);
+  }
+  EXPECT_EQ(testhook::allocation_count(), 0U)
+      << "a schedule alternating find() and solve() must reuse its buffers";
+}
+
+TEST(ScheduleCache, ScratchWhoseSlotHoldsACopyOutStillRoutes) {
+  // A find() into RouteScratch::schedule_slot() leaves a replay-only
+  // schedule there.  route() captures its solve into that same slot, so it
+  // must re-shape it first, and so must every path that reaches route():
+  // ScheduleCache::route's miss included.
+  Rng rng(0xCAC4E22);
+  const unsigned m = 8;
+  const CompiledBnb plan(m);
+  ASSERT_FALSE(plan.small_capable());
+  RouteScratch scratch;
+  RouteScratch reference;
+  ScheduleCache cache(8, /*shards=*/1);
+  const Permutation a = random_perm(plan.inputs(), rng);
+  const Permutation b = random_perm(plan.inputs(), rng);
+  const Permutation c = random_perm(plan.inputs(), rng);
+  (void)cache.route(plan, a, scratch);
+  const PermutationDigest da = digest_permutation(a);
+
+  ASSERT_TRUE(cache.find(da, scratch.schedule_slot()));
+  const auto b_out = plan.route(b, scratch);
+  const auto b_want = plan.route(b, reference);
+  ASSERT_TRUE(std::equal(b_out.dest.begin(), b_out.dest.end(), b_want.dest.begin()));
+  EXPECT_TRUE(scratch.schedule_slot().prepared_for(plan));
+
+  ASSERT_TRUE(cache.find(da, scratch.schedule_slot()));
+  const auto before = cache.stats();
+  const auto c_out = cache.route(plan, c, scratch);  // miss: solve + insert
+  const auto c_want = plan.route(c, reference);
+  ASSERT_TRUE(std::equal(c_out.dest.begin(), c_out.dest.end(), c_want.dest.begin()));
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);
+  const auto c_hit = cache.route(plan, c, scratch);
+  ASSERT_TRUE(std::equal(c_hit.dest.begin(), c_hit.dest.end(), c_want.dest.begin()));
+  EXPECT_EQ(cache.stats().hits, before.hits + 1) << "the miss must have cached c";
 }
 
 TEST(ScheduleCache, EvictionChurnRecyclesPayloadBuffers) {

@@ -1,8 +1,8 @@
-// bnb.schedstore.v2 persistence: save → load must replay bit-identically
+// bnb.schedstore.v3 persistence: save → load must replay bit-identically
 // in BOTH lanes across every kernel tier this host supports (the format's
 // kernel-invariance promise, with apply8 re-bound from the loading
 // process's dispatch), a store the build cannot read — missing, truncated,
-// wrong magic, unsupported version (v1 included), header or record CRC
+// wrong magic, unsupported version (v1 and v2 included), header or record CRC
 // damage — must throw schedule_store_error from load() with nothing
 // inserted, a save() that fails must leave the previous store intact, and
 // warm_start() must serve mmap-backed hits that promote into the table
@@ -181,11 +181,11 @@ TEST(ScheduleStore, LoadRejectsForeignAndDamagedHeaders) {
   EXPECT_THROW((void)cache.load(truncated), schedule_store_error);
 
   // Another version with a correct CRC: refused as unsupported, so the
-  // version check (not the CRC) is what fires.  v1 is the previous format
-  // (records keyed by the old serial digest); v3 stands for a future one.
-  // The diagnostic names both the file's version and the one this build
-  // reads.
-  for (const std::uint32_t version : {1U, 3U}) {
+  // version check (not the CRC) is what fires.  v1 keyed records by the old
+  // serial digest, v2 stored every column's switch controls with the line
+  // map; v4 stands for a future format.  The diagnostic names both the
+  // file's version and the one this build reads.
+  for (const std::uint32_t version : {1U, 2U, 4U}) {
     std::vector<unsigned char> other = good;
     std::memcpy(other.data() + 8, &version, 4);
     const std::uint32_t crc = crc32(other.data(), 28);
@@ -202,7 +202,7 @@ TEST(ScheduleStore, LoadRejectsForeignAndDamagedHeaders) {
           << what;
       EXPECT_NE(what.find("bnb.schedstore.v" + std::to_string(version)), std::string::npos)
           << what;
-      EXPECT_NE(what.find("bnb.schedstore.v2"), std::string::npos) << what;
+      EXPECT_NE(what.find("bnb.schedstore.v3"), std::string::npos) << what;
     }
     EXPECT_THROW((void)cache.warm_start(other_path), schedule_store_error);
   }
@@ -387,7 +387,7 @@ TEST(ScheduleStore, MutatedStoresNeverLoadPartiallyOrMisroute) {
   // A deterministic mutation battery over a store holding both lanes:
   // every truncation, seeded 1-3 bit flips anywhere, and self-consistent
   // lies (CRCs recomputed) about the record count, each record's payload
-  // length, kind, m and digest, and the offsets inside a general payload.
+  // length, kind, m and digest.
   const Fixture fx = make_saved_store("mutation.bnbstore", 0x5702E09);
   const std::vector<unsigned char> good = read_file(fx.path);
   const std::vector<std::size_t> records = record_offsets(good);
@@ -445,21 +445,6 @@ TEST(ScheduleStore, MutatedStoresNeverLoadPartiallyOrMisroute) {
       std::vector<unsigned char> bytes = good;
       put_u32(bytes, at + 20, m);
       expect_refused_and_never_misroutes(fx, bytes, record + " m " + std::to_string(m));
-    }
-    if (get_u32(good, at + 16) == WarmStore::kGeneralRecord) {
-      // {columns, control_words, lines} place the line map in the payload.
-      for (const std::size_t field : {0U, 4U, 8U}) {
-        const std::uint32_t truth = get_u32(good, at + 32 + field);
-        for (const std::uint32_t lie : {0U, truth - 1, truth + 1, 2 * truth}) {
-          std::vector<unsigned char> bytes = good;
-          put_u32(bytes, at + 32 + field, lie);
-          reseal_record(bytes, at);
-          expect_refused_and_never_misroutes(fx, bytes,
-                                             record + " payload field " +
-                                                 std::to_string(field) + " = " +
-                                                 std::to_string(lie));
-        }
-      }
     }
   }
 
