@@ -198,11 +198,20 @@ int main(int argc, char** argv) {
   double budget = 0.25;  // seconds of measurement per timed quantity
   bool force_threads = false;
   std::string out_path = "BENCH_routing.json";
+  constexpr const char* kUsage = "usage: bench_engine [--quick] [--force-threads] [output.json]\n";
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--quick") == 0) {
       budget = 0.02;
     } else if (std::strcmp(argv[a], "--force-threads") == 0) {
       force_threads = true;
+    } else if (std::strcmp(argv[a], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else if (argv[a][0] == '-') {
+      // An unknown option is never an output path: refuse it before any
+      // timing runs or any file is written.
+      std::fprintf(stderr, "bench_engine: unknown option '%s'\n%s", argv[a], kUsage);
+      return 2;
     } else {
       out_path = argv[a];
     }
@@ -396,7 +405,7 @@ int main(int argc, char** argv) {
     const auto old_op = [&](bnb::RouteScratch& s, std::size_t i) {
       const std::size_t k = i & (cont_pool_size - 1);
       const auto schedule = legacy.find(digests[k]);
-      if (schedule == nullptr || !schedule->prepared_for(plan)) std::exit(1);
+      if (schedule == nullptr || schedule->m() != plan.m()) std::exit(1);
       const auto r = plan.apply(*schedule, pool[k], s);
       if (!r.self_routed) std::exit(1);
     };

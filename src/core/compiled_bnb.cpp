@@ -151,31 +151,11 @@ bool deliver_pairs(std::size_t n, const std::uint32_t* address_of, LinePair line
 
 // ---- ControlSchedule --------------------------------------------------
 
-void ControlSchedule::prepare(const CompiledBnb& plan) {
-  if (prepared_for(plan)) {
-    solved_ = false;
-    return;
-  }
-  m_ = plan.m();
-  columns_ = plan.columns().size();
-  control_words_ = plan.control_words();
-  ctl_.assign(columns_ * control_words_, 0);
-  line_of_input_.assign(plan.inputs(), 0);
-  solved_ = false;
-}
-
-bool ControlSchedule::prepared_for(const CompiledBnb& plan) const noexcept {
-  return m_ == plan.m() && m_ != 0 && control_words_ == plan.control_words();
-}
-
 void ControlSchedule::reshape(unsigned m) {
   BNB_EXPECTS(m >= 1 && m < 26);
-  // clear() and resize() keep capacity: a slot that alternates copy-outs
-  // and solves re-shapes without allocating.
+  // resize() keeps capacity: a slot that alternates copy-outs and solves
+  // re-shapes without allocating.
   m_ = m;
-  columns_ = 0;
-  control_words_ = 0;
-  ctl_.clear();
   line_of_input_.resize(std::size_t{1} << m);
   solved_ = false;
 }
@@ -198,7 +178,7 @@ void RouteScratch::prepare(const CompiledBnb& plan) {
   spare_slices_.assign(q * words, 0);
   outputs_.assign(n, Word{});
   dest_.assign(n, 0);
-  schedule_.prepare(plan);
+  schedule_.reshape(m);
   m_ = m;
   n_ = n;
   words_ = words;
@@ -294,8 +274,7 @@ void CompiledBnb::check_fault_shapes(const ColumnFaultMasks& faults, unsigned p)
 }
 
 const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* trace,
-                                               const EngineFaults* faults,
-                                               ControlSchedule* capture) const {
+                                               const EngineFaults* faults) const {
   const std::size_t n = inputs();
   const std::size_t W = s.words_;
   const std::size_t cw = control_words();
@@ -343,9 +322,7 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
       const Column& col = columns_[col_idx];
       const ColumnFaultMasks* fcol =
           faults != nullptr ? faults->column(col_idx) : nullptr;
-      std::uint64_t* ctl = capture != nullptr
-                               ? capture->ctl_.data() + col_idx * capture->control_words_
-                               : s.ctl_.data();
+      std::uint64_t* ctl = s.ctl_.data();
       if (fcol != nullptr) {
         check_fault_shapes(*fcol, col.p);
         if (!fcol->bit_flip.empty()) {
@@ -427,8 +404,7 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
   job.words = W;
   job.m = m_;
   job.live = live & ~bit(drift);
-  job.ctl = capture != nullptr ? capture->ctl_.data() + tail_first * capture->control_words_
-                               : s.ctl_.data();
+  job.ctl = s.ctl_.data();
   job.ctl_stride = cw;
   job.faults = tail_faulty ? tail_faults.data() : nullptr;
   ks_->solve_tail(job);
@@ -463,15 +439,14 @@ CompiledBnb::Output CompiledBnb::route_impl(RouteScratch& s, ControlTrace* trace
     trace->column_controls.reserve(columns_.size());
   }
   if (capture != nullptr) {
-    BNB_EXPECTS(capture->prepared_for(*this));
     // A schedule must describe the CLEAN fabric: replaying it bypasses the
-    // per-column fault hooks, so capturing faulty controls would let fault
+    // per-column fault hooks, so capturing a faulty route would let fault
     // semantics be served from a schedule (or a cache) later.
     BNB_EXPECTS(faults == nullptr || faults->empty());
-    capture->solved_ = false;
+    capture->reshape(m_);
   }
 
-  const std::uint64_t* state = route_sliced(s, trace, faults, capture);
+  const std::uint64_t* state = route_sliced(s, trace, faults);
 
   bool self_routed = true;
   const bool payload_is_input_index = payload_source.empty();
@@ -486,7 +461,7 @@ CompiledBnb::Output CompiledBnb::route_impl(RouteScratch& s, ControlTrace* trace
     self_routed &= (address == line);
   }
   if (capture != nullptr) {
-    // The composed effect of the captured settings, read off the delivered
+    // The composed effect of the decided settings, read off the delivered
     // state: input j landed on line dest_[j].
     std::copy(s.dest_.begin(), s.dest_.end(), capture->line_of_input_.begin());
     capture->solved_ = true;
@@ -513,9 +488,7 @@ CompiledBnb::Output CompiledBnb::route(const Permutation& pi, RouteScratch& scra
     // the scratch-owned schedule, then deliver from it.  route_impl already
     // produced the delivered words while solving, so "apply" here is the
     // mapping copy route_impl performs for the capture — output identical
-    // to the historic fused path by construction.  The slot may hold a
-    // replay-only cache copy-out, so shape it for the capture first.
-    scratch.schedule_.prepare(*this);
+    // to the historic fused path by construction.
     return route_impl(scratch, trace, {}, faults, &scratch.schedule_);
   }
   return route_impl(scratch, trace, {}, faults);
@@ -527,13 +500,12 @@ void CompiledBnb::solve(const Permutation& pi, RouteScratch& scratch,
   const std::size_t n = inputs();
   BNB_EXPECTS(pi.size() == n);
   scratch.prepare(*this);
-  schedule.prepare(*this);
+  schedule.reshape(m_);
   const std::uint32_t* address_of = pi.image().data();
   for (std::size_t j = 0; j < n; ++j) {
     scratch.state_[j] = (std::uint64_t{j} << 32) | address_of[j];
   }
-  schedule.solved_ = false;
-  const std::uint64_t* state = route_sliced(scratch, nullptr, nullptr, &schedule);
+  const std::uint64_t* state = route_sliced(scratch, nullptr, nullptr);
   // The composed effect of the decided settings, read off the delivered
   // state: the word on each line names the input it entered at.  A solve
   // delivers nothing, so no output words are built.
@@ -613,7 +585,7 @@ CompiledBnb::Output CompiledBnb::apply_packed_lines(
 
 SmallSchedule CompiledBnb::flatten_small(const ControlSchedule& schedule) const {
   BNB_EXPECTS(small_capable());
-  BNB_EXPECTS(schedule.prepared_for(*this) && schedule.solved());
+  BNB_EXPECTS(schedule.m() == m_ && schedule.solved());
   const std::size_t n = inputs();
   // The solved columns compose to one permutation of the n <= 64 state
   // bits — the schedule's line_of_input map.  Re-route THAT through a

@@ -41,12 +41,12 @@
 // for m <= 3), on every kernel tier (tests/test_kernels.cpp).
 //
 // The control plane and the datapath are split: solve() runs the arbiter
-// trees once and materializes a ControlSchedule (every column's packed
-// controls plus their composed input->line mapping); apply() replays a
-// schedule against any payload in O(N) with no arbiter work.  route() is
-// exactly solve+apply on the clean path, so a repeated permutation served
-// from a ScheduleCache (core/schedule_cache.hpp) skips the entire control
-// solve; fault/trace routes take the fused path and never touch schedules.
+// trees once and materializes a ControlSchedule (the composed input->line
+// mapping the decided switches induce); apply() replays a schedule against
+// any payload in O(N) with no arbiter work.  route() is exactly solve+apply
+// on the clean path, so a repeated permutation served from a ScheduleCache
+// (core/schedule_cache.hpp) skips the entire control solve; fault/trace
+// routes take the fused path and never touch schedules.
 #pragma once
 
 #include <atomic>
@@ -71,74 +71,45 @@ class Counter;
 
 class CompiledBnb;
 
-/// A solved control plane: the packed switch settings of every column of
-/// one plan for ONE permutation, plus the composed delivery mapping those
-/// settings induce.  This is the software analogue of a fabric whose
-/// switches are already set: solve() materializes it once (running the
-/// kernel datapath to both decide every arbiter and record where each
-/// input lands), and apply() replays it against any payload without
-/// touching an arbiter tree again.  Schedules are plain data — safe to
-/// share read-only across threads, cacheable (core/schedule_cache.hpp),
-/// and replayable column-by-column (StagedBnbRouter::step_replay).
-///
-/// A REPLAY-ONLY schedule (ScheduleCache::find's copy-out) carries the
-/// line map alone: the network self-routes (Thm. 2), so apply() never
-/// reads the switch controls.  It has m() set, solved()
-/// true and columns() == control_words() == 0; the column-level consumers
-/// (step_replay, flatten_small) require prepared_for() and refuse it.
+/// A solved permutation: where each input lands.  The network routes itself
+/// (Thm. 2), so the composed input->line map is the whole solution — the
+/// software analogue of a fabric whose switches are already set.  solve()
+/// materializes it once (running the kernel datapath to decide every
+/// arbiter), and apply() replays it against any payload without touching an
+/// arbiter tree again.  Schedules are plain data — safe to share read-only
+/// across threads and cacheable (core/schedule_cache.hpp): a
+/// ScheduleCache::find copy-out is an ordinary solved schedule.  The
+/// per-column switch settings are not kept; ControlTrace is the only
+/// per-column control export.
 class ControlSchedule {
  public:
   ControlSchedule() = default;
 
-  /// Size the schedule for `plan`.  Idempotent for the same shape.
-  void prepare(const CompiledBnb& plan);
-
-  /// True when this schedule's buffers fit `plan` (same m, same packed
-  /// control width).  Says nothing about whether solve() has run; false
-  /// for a replay-only schedule.
-  [[nodiscard]] bool prepared_for(const CompiledBnb& plan) const noexcept;
-
   [[nodiscard]] unsigned m() const noexcept { return m_; }
-  /// True once solve() has populated the mapping (and, unless replay-only,
-  /// the controls).
+  /// True once solve() (or a cache copy-out) has populated the mapping.
   [[nodiscard]] bool solved() const noexcept { return solved_; }
 
-  /// Packed controls of `column` (control_words() words): bit t of word w
-  /// is the setting of switch 64*w + t, same layout as ControlTrace.
-  [[nodiscard]] const std::uint64_t* column(std::size_t column) const noexcept {
-    return ctl_.data() + column * control_words_;
-  }
-  [[nodiscard]] std::size_t columns() const noexcept { return columns_; }
-  [[nodiscard]] std::size_t control_words() const noexcept { return control_words_; }
-
-  /// The composed effect of the stored settings: the word entering input j
-  /// is delivered on output line line_of_input()[j].
+  /// The word entering input j is delivered on output line
+  /// line_of_input()[j].
   [[nodiscard]] std::span<const std::uint32_t> line_of_input() const noexcept {
     return line_of_input_;
   }
 
-  // -- wire access (core/schedule_cache.cpp) ------------------------------
-  // find()'s copy-out rebuilds a replay-only schedule without a plan in
-  // hand: reshape() sizes the line map, lines_data() exposes it, and
-  // set_solved() marks it replayable.  prepare() remains the plan-driven
-  // path.
-
-  /// Make this a replay-only schedule of 2^m lines and no controls.  Keeps
-  /// every buffer's capacity, so a schedule that alternates copy-outs and
-  /// solves allocates nothing once each has run.  Marks the schedule
-  /// unsolved until set_solved(true).
+  /// Shape this schedule for 2^m lines and mark it unsolved.  Keeps the
+  /// line map's capacity, so a schedule that alternates copy-outs and
+  /// solves allocates nothing once it has held a map of this size.
   void reshape(unsigned m);
 
+  // -- wire access (core/schedule_cache.cpp) ------------------------------
+  // find()'s copy-out fills a reshaped schedule without a plan in hand:
+  // lines_data() exposes the map and set_solved() marks it replayable.
   [[nodiscard]] std::uint32_t* lines_data() noexcept { return line_of_input_.data(); }
   void set_solved(bool solved) noexcept { solved_ = solved; }
 
  private:
   friend class CompiledBnb;
-  unsigned m_ = 0;  ///< 0 = unprepared
+  unsigned m_ = 0;  ///< 0 = unshaped
   bool solved_ = false;
-  std::size_t columns_ = 0;
-  std::size_t control_words_ = 0;
-  std::vector<std::uint64_t> ctl_;  ///< columns_ * control_words_, column-major
   std::vector<std::uint32_t> line_of_input_;
 };
 
@@ -164,8 +135,7 @@ class RouteScratch {
   /// The scratch-owned ControlSchedule route() solves into.  Exposed for
   /// cache copy-out workflows: a caller can ScheduleCache::find() into this
   /// slot and apply() from it without owning a second schedule —
-  /// allocation-free once shaped.  route() re-prepares the slot, so a
-  /// replay-only copy-out left here never reaches the capture.
+  /// allocation-free once shaped.
   [[nodiscard]] ControlSchedule& schedule_slot() noexcept { return schedule_; }
   [[nodiscard]] const ControlSchedule& schedule_slot() const noexcept { return schedule_; }
 
@@ -319,12 +289,11 @@ class CompiledBnb {
   // -- solve/apply split (the streaming control plane) --------------------
 
   /// Decide every switch of the network for `pi` and materialize the
-  /// result: all m(m+1)/2 columns' packed controls plus the composed
-  /// input->output-line mapping they induce.  Runs the full kernel datapath
-  /// once (arbiter trees and payload movement); afterwards the schedule
-  /// replays without any arbiter work.  Clean fabric only — fault overlays
-  /// must go through route(), which never touches a schedule.
-  /// Zero allocations once `scratch` and `schedule` are prepared.
+  /// composed input->output-line mapping they induce.  Runs the full kernel
+  /// datapath once (arbiter trees and address movement); afterwards the
+  /// schedule replays without any arbiter work.  Clean fabric only — fault
+  /// overlays must go through route(), which never touches a schedule.
+  /// Zero allocations once `scratch` and `schedule` are shaped.
   void solve(const Permutation& pi, RouteScratch& scratch,
              ControlSchedule& schedule) const;
 
@@ -333,8 +302,7 @@ class CompiledBnb {
   /// schedule.line_of_input()[j].  Bit-identical to route(pi) when
   /// `schedule` was solved for `pi` on any kernel tier (controls are
   /// tier-invariant).  O(N) — no arbiter trees, no column passes.
-  /// Requires schedule.m() == m() and schedule.solved(); a replay-only
-  /// schedule qualifies (the controls are never read).
+  /// Requires schedule.m() == m() and schedule.solved().
   [[nodiscard]] Output apply(const ControlSchedule& schedule, const Permutation& pi,
                              RouteScratch& scratch) const;
 
@@ -380,7 +348,7 @@ class CompiledBnb {
 
   /// Flatten an already-solved schedule of THIS plan (shared with
   /// compile_small; exposed for callers that hold a ControlSchedule).
-  /// Requires small_capable(), schedule prepared for this plan and solved.
+  /// Requires small_capable(), schedule.m() == m() and schedule.solved().
   [[nodiscard]] SmallSchedule flatten_small(const ControlSchedule& schedule) const;
 
   /// Replay a flattened schedule for the permutation it was compiled for:
@@ -449,13 +417,11 @@ class CompiledBnb {
   void check_fault_shapes(const ColumnFaultMasks& faults, unsigned p) const;
   /// The bit-sliced datapath: moves the live address slices (plus the
   /// poison parity once a dead crosspoint hits) through every column and
-  /// returns the delivered line state (state_).  A non-null `capture`
-  /// receives every column's packed controls (flat, allocation-free) as
-  /// they are decided.
+  /// returns the delivered line state (state_).  Each column's packed
+  /// controls are decided into the scratch's control buffer.
   [[nodiscard]] const std::uint64_t* route_sliced(RouteScratch& scratch,
                                                   ControlTrace* trace,
-                                                  const EngineFaults* faults,
-                                                  ControlSchedule* capture) const;
+                                                  const EngineFaults* faults) const;
 
   unsigned m_;
   const kernels::KernelSet* ks_;

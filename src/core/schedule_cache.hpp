@@ -33,8 +33,8 @@
 //     packed input->line map; no schedule copy, no shared_ptr, no heap.
 //     route() and ResilientRouter both hit through replay(); find()
 //     copy-out stays for callers that hand the schedule to another thread
-//     (StreamEngine): it copies the line map into a replay-only
-//     ControlSchedule that apply() accepts.  The small lane copies its
+//     (StreamEngine): it copies the line map into a caller-owned
+//     ControlSchedule, an ordinary solved schedule.  The small lane copies its
 //     ~0.2 KB value type through the frame's staging words.  A frame's payload buffer is
 //     TYPE-STABLE: it lives until the cache dies (a frame swaps it only
 //     for a larger one), so a reader racing an eviction copies
@@ -156,8 +156,8 @@ class ScheduleCache {
                             CompiledBnb::Output& out);
 
   /// Copy-out general-lane lookup: copy the cached line map into `out`,
-  /// which becomes a replay-only schedule (m() set, solved(), no controls
-  /// — see ControlSchedule) that apply() and apply_words() accept.
+  /// which becomes an ordinary solved schedule (a ControlSchedule is its
+  /// line map) that apply(), apply_words() and flatten_small() accept.
   /// Allocation-free once `out` has held a map of this size (e.g. a
   /// RouteScratch::schedule_slot() warmed on the same plan).  Counts a hit
   /// or a miss; a small-lane entry under this digest is a miss for this

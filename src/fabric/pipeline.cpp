@@ -92,18 +92,7 @@ PipelinedFabric::StreamStats PipelinedFabric::run_stream(
 
   return std::visit(
       [&](const auto& router) {
-        constexpr bool kIsBnb =
-            std::is_same_v<std::decay_t<decltype(router)>, StagedBnbRouter>;
-        // Clean BNB streams run split-phase like the compiled engine: the
-        // control solve happens once at issue (the "header cycle" that sets
-        // the switches) and every later column is a pure replay of the
-        // solved schedule — no per-column arbiter evaluation in flight.
-        // Any injection window (even an expired one) keeps the arbiter
-        // path so fault semantics are never replayed from a schedule.
-        const bool replay = kIsBnb && overlay == nullptr && inject == nullptr;
         StreamStats s = stats;
-        RouteScratch solve_scratch;
-        std::deque<ControlSchedule> schedules;  // parallels in_flight when replaying
         std::deque<StagedJob> in_flight;
         // Issue queue of permutation indices: the initial stream in order,
         // with audited-bad permutations reissued at the back.
@@ -122,16 +111,13 @@ PipelinedFabric::StreamStats PipelinedFabric::run_stream(
             if (!was_degraded) ++s.degraded_transitions;
           }
           was_degraded = live != nullptr;
-          // Advance every in-flight job by one column.
-          for (std::size_t k = 0; k < in_flight.size(); ++k) {
-            if constexpr (kIsBnb) {
-              if (replay) {
-                router.step_replay(in_flight[k], schedules[k]);
-              } else {
-                router.step(in_flight[k], live);
-              }
+          // Advance every in-flight job by one column: each column's
+          // arbiters set its switches from the addresses in flight.
+          for (StagedJob& job : in_flight) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(router)>, StagedBnbRouter>) {
+              router.step(job, live);
             } else {
-              router.step(in_flight[k]);
+              router.step(job);
             }
           }
           // Retire deliveries (oldest jobs are furthest along).
@@ -152,7 +138,6 @@ PipelinedFabric::StreamStats PipelinedFabric::run_stream(
               }
             }
             in_flight.pop_front();
-            if (replay) schedules.pop_front();
           }
           // Issue the next permutation into the freed input column.
           if (!pending.empty()) {
@@ -160,12 +145,6 @@ PipelinedFabric::StreamStats PipelinedFabric::run_stream(
             pending.pop_front();
             BNB_EXPECTS(perms[idx].size() == router.inputs());
             in_flight.push_back(make_job(perms[idx], idx));
-            if constexpr (kIsBnb) {
-              if (replay) {
-                schedules.emplace_back();
-                router.plan().solve(perms[idx], solve_scratch, schedules.back());
-              }
-            }
           }
           ++cycle;
         }

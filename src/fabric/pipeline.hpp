@@ -59,13 +59,10 @@ class PipelinedFabric {
   };
 
   /// Issue one permutation per cycle, step all in-flight jobs each cycle,
-  /// audit every delivery (addresses AND payload provenance).
-  ///
-  /// Clean BNB streams (no injection window) run split-phase: each job's
-  /// control schedule is solved once at issue and its columns are then
-  /// replayed through preset switches (StagedBnbRouter::step_replay) —
-  /// functionally identical to per-column arbitration, proven by the
-  /// equivalence tests.  Any injection window keeps the arbiter path.
+  /// audit every delivery (addresses AND payload provenance).  Every BNB
+  /// column sets its switches with its own arbiters as the job crosses it
+  /// (StagedBnbRouter::step); cycles and timing come from the netlist
+  /// delays alone.
   ///
   /// A non-null `inject` damages the fabric for the window's cycles
   /// (requires Kind::kBnb).  A delivery that fails the audit is counted in

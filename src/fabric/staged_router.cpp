@@ -95,22 +95,6 @@ void StagedBnbRouter::step(StagedJob& job, const EngineFaults* faults) const {
   ++job.column;
 }
 
-void StagedBnbRouter::step_replay(StagedJob& job, const ControlSchedule& schedule) const {
-  BNB_EXPECTS(!finished(job));
-  BNB_EXPECTS(job.lines.size() == inputs());
-  BNB_EXPECTS(schedule.prepared_for(plan_) && schedule.solved());
-  const CompiledBnb::Column& col = plan_.columns()[job.column];
-  const std::size_t n = inputs();
-  if (job.spare.size() != n) job.spare.resize(n);
-
-  // Preset switches: no address-bit packing, no arbiters — the words just
-  // cross the column's switches and wiring under the recorded controls.
-  apply_column_to_lines<Word>(schedule.column(job.column), {job.lines.data(), n},
-                              {job.spare.data(), n}, col.group);
-  job.lines.swap(job.spare);
-  ++job.column;
-}
-
 std::vector<Word> StagedBnbRouter::run_to_completion(std::span<const Word> words) const {
   StagedJob job = start(words);
   while (!finished(job)) step(job);

@@ -65,15 +65,6 @@ class StagedBnbRouter {
   /// applies in route(); dead crosspoints corrupt the job's words) — the
   /// pipelined fabric uses it to damage in-flight traffic mid-stream.
   void step(StagedJob& job, const EngineFaults* faults = nullptr) const;
-  /// Advance one column with its switch settings taken from a pre-solved
-  /// schedule instead of evaluating the column's arbiters — the staged
-  /// model of a fabric whose switches were preset by an earlier control
-  /// cycle.  Clean fabric only: fault overlays need the arbiter path of
-  /// step().  The schedule must come from plan().solve() (or an equal plan
-  /// of the same m); replayed jobs are bit-identical to stepped ones.  A
-  /// replay-only schedule (ScheduleCache::find's copy-out) carries no
-  /// controls and is refused with contract_violation.
-  void step_replay(StagedJob& job, const ControlSchedule& schedule) const;
   [[nodiscard]] bool finished(const StagedJob& job) const {
     return job.column >= total_columns();
   }

@@ -405,8 +405,9 @@ TEST(CompiledBnb, SolveWorkIsThePapersCost) {
 // ---- solve/apply split -------------------------------------------------
 
 /// solve() + apply() must equal the fused route() bit for bit, and the
-/// materialized schedule's packed per-column controls must equal what
-/// ControlTrace observes on the arbiter path.
+/// switch settings ControlTrace observes on the arbiter path, replayed
+/// column by column through each column's wiring, must compose to exactly
+/// the line map solve() recorded.
 void expect_solve_apply_equivalence(const CompiledBnb& engine, const Permutation& pi,
                                     const char* label) {
   RouteScratch route_scratch;
@@ -417,17 +418,27 @@ void expect_solve_apply_equivalence(const CompiledBnb& engine, const Permutation
   ControlSchedule schedule;
   engine.solve(pi, scratch, schedule);
   ASSERT_TRUE(schedule.solved()) << label;
-  ASSERT_TRUE(schedule.prepared_for(engine)) << label;
-  ASSERT_EQ(schedule.columns(), engine.columns().size()) << label;
+  ASSERT_EQ(schedule.m(), engine.m()) << label;
 
-  ASSERT_EQ(trace.column_controls.size(), schedule.columns()) << label;
-  for (std::size_t c = 0; c < schedule.columns(); ++c) {
-    ASSERT_EQ(trace.column_controls[c].size(), schedule.control_words()) << label;
-    for (std::size_t w = 0; w < schedule.control_words(); ++w) {
-      ASSERT_EQ(schedule.column(c)[w], trace.column_controls[c][w])
-          << label << ": schedule controls diverge from the arbiter path at column "
-          << c << " word " << w;
-    }
+  const std::size_t n = engine.inputs();
+  const auto columns = engine.columns();
+  ASSERT_EQ(trace.column_controls.size(), columns.size()) << label;
+  std::vector<std::uint32_t> input_on(n);  // input_on[line] = input it carries
+  std::vector<std::uint32_t> next(n);
+  std::iota(input_on.begin(), input_on.end(), 0U);
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    ASSERT_EQ(trace.column_controls[c].size(), engine.control_words()) << label;
+    apply_column_to_lines<std::uint32_t>(trace.column_controls[c].data(), input_on, next,
+                                         columns[c].group);
+    input_on.swap(next);
+  }
+  const auto line_of = schedule.line_of_input();
+  ASSERT_EQ(line_of.size(), n) << label;
+  for (std::size_t line = 0; line < n; ++line) {
+    ASSERT_EQ(line_of[input_on[line]], line)
+        << label << ": the traced controls deliver input " << input_on[line]
+        << " on a line solve() did not record";
+    ASSERT_EQ(want.dest[input_on[line]], line) << label;
   }
 
   const auto got = engine.apply(schedule, pi, scratch);
@@ -525,14 +536,14 @@ TEST(CompiledBnb, SolveRefusesFaultOverlaysAndApplyRefusesUnsolved) {
   const Permutation pi = random_perm(16, rng);
 
   ControlSchedule unsolved;
-  unsolved.prepare(engine);
+  unsolved.reshape(engine.m());
   EXPECT_THROW((void)engine.apply(unsolved, pi, scratch), contract_violation);
 
   ControlSchedule stale;
   engine.solve(pi, scratch, stale);
-  // Re-preparing for a different shape invalidates the solved bit.
+  // Re-shaping for a different size invalidates the solved bit.
   const CompiledBnb larger(5);
-  stale.prepare(larger);
+  stale.reshape(larger.m());
   EXPECT_FALSE(stale.solved());
   EXPECT_THROW((void)larger.apply(stale, random_perm(32, rng), scratch),
                contract_violation);
@@ -739,36 +750,6 @@ TEST(CompiledBnb, SteadyStateSmallLaneAllocatesNothing) {
   }
   EXPECT_EQ(testhook::allocation_count(), 0U)
       << "small-lane compile + replay must not touch the heap (acc=" << acc << ")";
-}
-
-TEST(StagedBnbRouter, ReplayMatchesArbiterStepColumnByColumn) {
-  // step_replay under a solved schedule must move the words exactly as the
-  // arbiter-evaluating step() does, at every intermediate column.
-  Rng rng(0x5022);
-  for (const unsigned m : {2U, 4U, 6U}) {
-    const std::size_t n = std::size_t{1} << m;
-    const StagedBnbRouter router(m);
-    const Permutation pi = random_perm(n, rng);
-    std::vector<Word> words(n);
-    for (std::size_t j = 0; j < n; ++j) words[j] = Word{pi(j), std::uint64_t{j}};
-
-    RouteScratch scratch;
-    ControlSchedule schedule;
-    router.plan().solve(pi, scratch, schedule);
-
-    StagedJob stepped = router.start(words);
-    StagedJob replayed = router.start(words);
-    while (!router.finished(stepped)) {
-      router.step(stepped);
-      router.step_replay(replayed, schedule);
-      ASSERT_EQ(stepped.column, replayed.column) << "m=" << m;
-      for (std::size_t line = 0; line < n; ++line) {
-        ASSERT_EQ(stepped.lines[line], replayed.lines[line])
-            << "m=" << m << " column " << stepped.column << " line " << line;
-      }
-    }
-    ASSERT_TRUE(router.finished(replayed));
-  }
 }
 
 TEST(GbnTopology, StageUnshuffleTableMatchesNextLine) {

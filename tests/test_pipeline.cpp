@@ -119,6 +119,50 @@ TEST(Pipeline, EmptyStream) {
   EXPECT_TRUE(stats.all_delivered);
 }
 
+TEST(Pipeline, CleanStreamStatsEqualAnExpiredEmptyWindowRun) {
+  // A stream's figures come from netlist delays and the issue order, not
+  // from how a column's switches get set: a clean BNB stream must report
+  // exactly what the same stream reports through an injection window that
+  // holds no faults and has already expired.
+  Rng rng(156);
+  for (unsigned m = 1; m <= 8; ++m) {
+    const std::size_t n = std::size_t{1} << m;
+    const PipelinedFabric fabric(PipelinedFabric::Kind::kBnb, m);
+    std::vector<Permutation> stream;
+    const std::uint64_t perms = 10 + 3 * m;
+    for (std::uint64_t i = 0; i < perms; ++i) stream.push_back(random_perm(n, rng));
+
+    const auto clean = fabric.run_stream(stream);
+    const double cycle_time = fabric.cycle_time().evaluate(1.0, 1.0);
+    EXPECT_TRUE(clean.all_delivered) << "m=" << m;
+    EXPECT_EQ(clean.permutations, perms) << "m=" << m;
+    EXPECT_EQ(clean.latency_columns, fabric.depth_columns()) << "m=" << m;
+    EXPECT_EQ(clean.cycles, perms + clean.latency_columns) << "m=" << m;
+    EXPECT_EQ(clean.words_delivered, perms * n) << "m=" << m;
+    EXPECT_EQ(clean.cycle_time_units, cycle_time) << "m=" << m;
+    EXPECT_DOUBLE_EQ(clean.time_per_permutation,
+                     cycle_time * static_cast<double>(clean.cycles) /
+                         static_cast<double>(perms))
+        << "m=" << m;
+
+    PipelinedFabric::InjectionWindow expired;
+    expired.until_cycle = 0;
+    const auto windowed = fabric.run_stream(stream, &expired);
+    EXPECT_EQ(windowed.permutations, clean.permutations) << "m=" << m;
+    EXPECT_EQ(windowed.words_delivered, clean.words_delivered) << "m=" << m;
+    EXPECT_EQ(windowed.cycles, clean.cycles) << "m=" << m;
+    EXPECT_EQ(windowed.latency_columns, clean.latency_columns) << "m=" << m;
+    EXPECT_EQ(windowed.cycle_time_units, clean.cycle_time_units) << "m=" << m;
+    EXPECT_EQ(windowed.time_per_permutation, clean.time_per_permutation) << "m=" << m;
+    EXPECT_EQ(windowed.all_delivered, clean.all_delivered) << "m=" << m;
+    EXPECT_EQ(windowed.misroutes_caught, clean.misroutes_caught) << "m=" << m;
+    EXPECT_EQ(windowed.retries, clean.retries) << "m=" << m;
+    EXPECT_EQ(windowed.degraded_cycles, clean.degraded_cycles) << "m=" << m;
+    EXPECT_EQ(windowed.degraded_transitions, clean.degraded_transitions) << "m=" << m;
+    EXPECT_EQ(windowed.failed_permutations, clean.failed_permutations) << "m=" << m;
+  }
+}
+
 TEST(Pipeline, SinglePermutationLatency) {
   Rng rng(155);
   const PipelinedFabric fabric(PipelinedFabric::Kind::kBnb, 5);

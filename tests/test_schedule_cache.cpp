@@ -6,11 +6,10 @@
 // never served from, or recorded into, it), clock eviction over frames
 // must spare recently-hit entries and evict an untouched one within
 // `capacity` inserts (no table rebuild lets it escape), find() must copy
-// out only the line map (a replay-only schedule apply() accepts and the
-// column-level consumers refuse), warm hits in BOTH lanes must be
-// allocation-free, and one cache must stay coherent under concurrent
-// mixed hit/miss traffic and under invalidate() racing a reader storm
-// (the seqlock proof, run under the tsan preset).
+// out the line map as an ordinary solved schedule, warm hits in BOTH
+// lanes must be allocation-free, and one cache must stay coherent under
+// concurrent mixed hit/miss traffic and under invalidate() racing a reader
+// storm (the seqlock proof, run under the tsan preset).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +25,6 @@
 #include "core/kernels/kernel_set.hpp"
 #include "core/schedule_cache.hpp"
 #include "core/small_schedule.hpp"
-#include "fabric/staged_router.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/injection.hpp"
 #include "perm/generators.hpp"
@@ -650,11 +648,10 @@ TEST(ScheduleCache, GeneralLaneWarmHitsAllocateNothing) {
 }
 
 TEST(ScheduleCache, FindCopiesOnlyTheLineMapAndApplyReplaysIt) {
-  // A general entry is its input->line map: find() hands back a
-  // replay-only schedule (m set, solved, no controls) whose map equals the
-  // solved one, apply() and apply_words() on it equal a cold route for
-  // every size, and the column-level consumers refuse it loudly instead of
-  // replaying missing controls.
+  // A general entry is its input->line map: find() hands back an ordinary
+  // solved schedule whose map equals the solved one, apply() and
+  // apply_words() on it equal a cold route for every size, and on small
+  // plans it flattens to the same SmallSchedule as the solved schedule.
   Rng rng(0xCAC4E20);
   for (unsigned m = 1; m <= 14; ++m) {
     const std::size_t n = std::size_t{1} << m;
@@ -671,9 +668,6 @@ TEST(ScheduleCache, FindCopiesOnlyTheLineMapAndApplyReplaysIt) {
     ASSERT_TRUE(cache.find(digest, fetched)) << "m=" << m;
     EXPECT_EQ(fetched.m(), m);
     EXPECT_TRUE(fetched.solved()) << "m=" << m;
-    EXPECT_EQ(fetched.columns(), 0U) << "m=" << m << ": find() copied controls";
-    EXPECT_EQ(fetched.control_words(), 0U) << "m=" << m;
-    EXPECT_FALSE(fetched.prepared_for(plan)) << "m=" << m;
     ASSERT_TRUE(std::equal(fetched.line_of_input().begin(), fetched.line_of_input().end(),
                            solved.line_of_input().begin(), solved.line_of_input().end()))
         << "m=" << m << ": the copied line map differs from the solved one";
@@ -696,22 +690,27 @@ TEST(ScheduleCache, FindCopiesOnlyTheLineMapAndApplyReplaysIt) {
                            cold_dest.begin()))
         << "m=" << m;
 
-    if (m == 4 || m == 9) {
-      const StagedBnbRouter staged(m);
-      StagedJob job = staged.start(words);
-      EXPECT_THROW(staged.step_replay(job, fetched), contract_violation) << "m=" << m;
-    }
     if (plan.small_capable()) {
-      EXPECT_THROW((void)plan.flatten_small(fetched), contract_violation) << "m=" << m;
+      const SmallSchedule from_copy = plan.flatten_small(fetched);
+      const SmallSchedule from_solve = plan.flatten_small(solved);
+      ASSERT_EQ(from_copy.m(), from_solve.m()) << "m=" << m;
+      ASSERT_EQ(from_copy.depth(), from_solve.depth()) << "m=" << m;
+      for (std::size_t step = 0; step < from_solve.depth(); ++step) {
+        EXPECT_EQ(from_copy.step_mask(step), from_solve.step_mask(step)) << "m=" << m;
+        EXPECT_EQ(from_copy.step_delta(step), from_solve.step_delta(step)) << "m=" << m;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(from_copy.line_of_input(j), from_solve.line_of_input(j)) << "m=" << m;
+      }
     }
   }
 }
 
 TEST(ScheduleCache, FindAndSolveAlternatingOnOneScheduleAllocateNothing) {
   // StreamEngine's recirculated ring slots and servebench's scratch slot
-  // take find() copy-outs and solves by turns.  The replay-only reshape
-  // keeps the controls' capacity, so once each has run the alternation
-  // allocates nothing.
+  // take find() copy-outs and solves by turns.  Both shape the schedule
+  // with reshape(), which keeps the line map's capacity, so once each has
+  // run the alternation allocates nothing.
   Rng rng(0xCAC4E21);
   const CompiledBnb plan(10);
   RouteScratch scratch;
@@ -742,10 +741,10 @@ TEST(ScheduleCache, FindAndSolveAlternatingOnOneScheduleAllocateNothing) {
 }
 
 TEST(ScheduleCache, ScratchWhoseSlotHoldsACopyOutStillRoutes) {
-  // A find() into RouteScratch::schedule_slot() leaves a replay-only
-  // schedule there.  route() captures its solve into that same slot, so it
-  // must re-shape it first, and so must every path that reaches route():
-  // ScheduleCache::route's miss included.
+  // A find() into RouteScratch::schedule_slot() leaves a copied-out
+  // schedule there.  route() captures its solve into that same slot, and
+  // so does every path that reaches route(): ScheduleCache::route's miss
+  // included.
   Rng rng(0xCAC4E22);
   const unsigned m = 8;
   const CompiledBnb plan(m);
@@ -763,7 +762,9 @@ TEST(ScheduleCache, ScratchWhoseSlotHoldsACopyOutStillRoutes) {
   const auto b_out = plan.route(b, scratch);
   const auto b_want = plan.route(b, reference);
   ASSERT_TRUE(std::equal(b_out.dest.begin(), b_out.dest.end(), b_want.dest.begin()));
-  EXPECT_TRUE(scratch.schedule_slot().prepared_for(plan));
+  EXPECT_EQ(scratch.schedule_slot().m(), m);
+  EXPECT_TRUE(std::equal(b_out.dest.begin(), b_out.dest.end(),
+                         scratch.schedule_slot().line_of_input().begin()));
 
   ASSERT_TRUE(cache.find(da, scratch.schedule_slot()));
   const auto before = cache.stats();

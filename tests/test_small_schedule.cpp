@@ -208,7 +208,7 @@ TEST(SmallSchedule, MisuseTripsContractsInsteadOfReplayingGarbage) {
 
   // flatten_small demands a schedule solved FOR THIS plan.
   ControlSchedule unsolved;
-  unsolved.prepare(plan);
+  unsolved.reshape(plan.m());
   EXPECT_THROW((void)plan.flatten_small(unsolved), contract_violation);
 }
 
