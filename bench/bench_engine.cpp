@@ -7,7 +7,7 @@
 // interior (1/2/4/8 reader threads hammering a hot working set with
 // precomputed digests: flat seqlock replay vs the PR 4 sharded
 // mutex+LRU+shared_ptr baseline, plus probe-length stats), the
-// register-resident small-N lane (m in {4,5,6}: SmallSchedule::apply /
+// register-resident small-N lane (m in {4,5,6}: SmallReplay::apply /
 // apply8 replay vs the general warm-cache path at the same size),
 // StreamEngine throughput (inline vs solver/applier-pipelined, with and
 // without a warm cache), and the telemetry overhead of the obs spans (each
@@ -28,6 +28,7 @@
 //        (default output: BENCH_routing.json; --quick shortens the timing
 //        budget for CI)
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -151,7 +152,7 @@ class LegacyShardedCache {
       shard.index.erase(shard.lru.back().digest);
       shard.lru.pop_back();
     }
-    shard.lru.push_front(Entry{digest, std::move(schedule), bnb::SmallSchedule{}});
+    shard.lru.push_front(Entry{digest, std::move(schedule), {}});
     shard.index.emplace(shard.lru.front().digest, shard.lru.begin());
   }
 
@@ -165,7 +166,9 @@ class LegacyShardedCache {
   struct Entry {
     bnb::PermutationDigest digest;
     std::shared_ptr<const bnb::ControlSchedule> schedule;
-    bnb::SmallSchedule small;  ///< PR 4 kept the small lane inline in the node
+    /// The ~0.2 KB small-lane slot the node carried inline (a 184-byte
+    /// flattened schedule at the time), kept so the node stays that fat.
+    std::array<std::uint64_t, 23> small;
   };
   struct Shard {
     std::mutex mu;
@@ -185,7 +188,7 @@ struct SmallRow {
   unsigned m = 0;
   double general_warm_ns = 0;  ///< digest + general-lane find + apply (pre-lane warm path)
   double small_route_ns = 0;   ///< full cache.route through the small lane
-  double apply_ns = 0;         ///< raw SmallSchedule::apply register replay
+  double apply_ns = 0;         ///< raw SmallReplay::apply register replay
   double apply8_ns = 0;        ///< apply8 per permutation (one 8-lane call / 8)
 };
 
@@ -493,7 +496,7 @@ int main(int argc, char** argv) {
   // Register-resident small-N lane: at each m <= 6 size, the warm general
   // path (digest + general-lane find + schedule apply — exactly what
   // repeated small traffic cost before the lane existed) vs the full
-  // small-lane cache.route, the raw SmallSchedule::apply replay (a chained
+  // small-lane cache.route, the raw SmallReplay::apply replay (a chained
   // data dependency so each call really waits for the last), and apply8
   // through the selected tier's 8-wide kernel.
   std::vector<SmallRow> small_rows;
@@ -537,8 +540,10 @@ int main(int argc, char** argv) {
         },
         budget);
 
-    bnb::SmallSchedule scheds[8];
-    for (std::size_t j = 0; j < 8; ++j) scheds[j] = plan.compile_small(pool[j], scratch);
+    bnb::SmallReplay scheds[8];
+    for (std::size_t j = 0; j < 8; ++j) {
+      scheds[j] = plan.flatten_small(plan.compile_small(pool[j], scratch));
+    }
     // Throughput, not latency: each call's input derives from the loop
     // counter alone, so successive replays overlap in the out-of-order
     // window exactly as independent permutations would; the XOR

@@ -5,7 +5,9 @@
 // library as a software permutation router.  The DeliveryAudit and
 // ResilientRouter rows time the layers of a warm cache hit: the audit on a
 // clean delivery (the clean-delivery proof alone), on a delivery with one
-// bad line (proof plus the exact classifier), and the whole audited hit.
+// bad line (proof plus the exact classifier), and the whole audited hit;
+// the small-lane rows time an audited miss at m = 4..6 and, apart, the
+// Beneš flatten that no serving path runs.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -144,6 +146,46 @@ void BM_ResilientRouterWarmHit(benchmark::State& state) {
                           static_cast<std::int64_t>(router.inputs()));
 }
 BENCHMARK(BM_ResilientRouterWarmHit)->DenseRange(4, 14, 2);
+
+void BM_ResilientRouterSmallMiss(benchmark::State& state) {
+  // The small lane's miss: every call cycles a 64-permutation pool through
+  // a cache of 8, so each route is digest, probe, solve and line-map copy,
+  // deliver, audit, insert with eviction, dest copy.
+  const unsigned m = static_cast<unsigned>(state.range(0));
+  bnb::ScheduleCache cache(8);
+  bnb::ResilientRouter router(m, {}, &cache);
+  bnb::Rng rng(0x5A11 ^ m);
+  std::vector<bnb::Permutation> pool;
+  for (int i = 0; i < 64; ++i) pool.push_back(bnb::random_perm(router.inputs(), rng));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.route(pool[i++ & 63]));
+  }
+  if (cache.stats().hits != 0) state.SkipWithError("a small-miss row hit the cache");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(router.inputs()));
+}
+BENCHMARK(BM_ResilientRouterSmallMiss)->DenseRange(4, 6, 1);
+
+void BM_FlattenSmall(benchmark::State& state) {
+  // The Beneš flatten alone, off every serving path: a compiled line map
+  // into at most 2m - 1 register butterfly steps.
+  const unsigned m = static_cast<unsigned>(state.range(0));
+  const bnb::CompiledBnb plan(m);
+  bnb::RouteScratch scratch;
+  bnb::Rng rng(0xF1A7 ^ m);
+  std::vector<bnb::SmallSchedule> pool;
+  for (int i = 0; i < 16; ++i) {
+    pool.push_back(plan.compile_small(bnb::random_perm(plan.inputs(), rng), scratch));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan.flatten_small(pool[i++ & 15]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(plan.inputs()));
+}
+BENCHMARK(BM_FlattenSmall)->DenseRange(4, 6, 1);
 
 void BM_CompiledBnbBatch(benchmark::State& state) {
   // 64-permutation batches through the worker pool; range(1) = threads.

@@ -47,6 +47,13 @@
 // on the clean path, so a repeated permutation served from a ScheduleCache
 // (core/schedule_cache.hpp) skips the entire control solve; fault/trace
 // routes take the fused path and never touch schedules.
+//
+// Plans with m <= 6 also serve a small lane (core/small_schedule.hpp):
+// compile_small() is solve() plus a copy of the line map into a 68-byte
+// SmallSchedule value, which ScheduleCache's small lane holds and
+// apply_small() delivers from.  flatten_small() Beneš-decomposes such a map
+// into a SmallReplay of at most 2m - 1 register butterfly steps, for
+// callers that replay a 64-bit state word; no serving path runs it.
 #pragma once
 
 #include <atomic>
@@ -329,30 +336,32 @@ class CompiledBnb {
                                           const Permutation& pi,
                                           RouteScratch& scratch) const;
 
-  // -- register-resident small-N fast lane (core/small_schedule.hpp) ------
+  // -- small-N lane (core/small_schedule.hpp) ------------------------------
 
-  /// True when this plan's network fits the flat small-N replay:
+  /// True when this plan's network fits the small lane:
   /// m <= SmallSchedule::kMaxM (N <= 64 lines, one uint64_t of state).
   [[nodiscard]] bool small_capable() const noexcept {
     return m_ <= SmallSchedule::kMaxM;
   }
 
-  /// Solve `pi` and flatten the result into a SmallSchedule: the solved
-  /// columns' composed input->line permutation is Beneš-decomposed into at
-  /// most 2m - 1 (mask, delta) butterfly steps replayable entirely in
-  /// registers.  Requires
+  /// Solve `pi` and copy the solved input->line map into a SmallSchedule,
+  /// the value every serving path caches and delivers from.  Requires
   /// small_capable().  Zero allocations once `scratch` is prepared; the
   /// solve runs through scratch's schedule slot exactly like route().
   [[nodiscard]] SmallSchedule compile_small(const Permutation& pi,
                                             RouteScratch& scratch) const;
 
-  /// Flatten an already-solved schedule of THIS plan (shared with
-  /// compile_small; exposed for callers that hold a ControlSchedule).
-  /// Requires small_capable(), schedule.m() == m() and schedule.solved().
-  [[nodiscard]] SmallSchedule flatten_small(const ControlSchedule& schedule) const;
+  /// Beneš-decompose a schedule's line map into at most 2m - 1 (mask,
+  /// delta) butterfly steps replayable entirely in registers, with apply8
+  /// bound to this plan's kernel tier.  No serving path needs this; it is
+  /// the explicit register-replay API.  Requires small_capable() and a
+  /// schedule solved for this plan's m; the ControlSchedule form takes an
+  /// explicitly solved schedule.
+  [[nodiscard]] SmallReplay flatten_small(const SmallSchedule& schedule) const;
+  [[nodiscard]] SmallReplay flatten_small(const ControlSchedule& schedule) const;
 
-  /// Replay a flattened schedule for the permutation it was compiled for:
-  /// identical Output contract to apply(), O(N <= 64), no kernel dispatch.
+  /// Deliver `pi` from a small schedule compiled for it: identical Output
+  /// contract to apply(), O(N <= 64), reading only the line map.
   /// Counts into bnb_small_route_total and the small_apply phase span.
   /// Requires `schedule` solved by this plan shape (same m).
   [[nodiscard]] Output apply_small(const SmallSchedule& schedule, const Permutation& pi,

@@ -54,7 +54,7 @@ void unpack_slices_k(const std::uint64_t* slices, std::size_t n, unsigned bits,
 // Small-schedule replay over 8 independent lanes: step-outer order loads
 // each (mask, delta) once and streams it across the lanes, which the
 // compiler unrolls into straight register code (the per-lane body is the
-// same butterfly as SmallSchedule::apply).
+// same butterfly as SmallReplay::apply).
 void small_apply8_k(const std::uint64_t* masks, const std::uint8_t* deltas,
                     std::size_t depth, std::uint64_t* lanes) {
   for (std::size_t s = 0; s < depth; ++s) {

@@ -34,8 +34,10 @@
 //     route() and ResilientRouter both hit through replay(); find()
 //     copy-out stays for callers that hand the schedule to another thread
 //     (StreamEngine): it copies the line map into a caller-owned
-//     ControlSchedule, an ordinary solved schedule.  The small lane copies its
-//     ~0.2 KB value type through the frame's staging words.  A frame's payload buffer is
+//     ControlSchedule, an ordinary solved schedule.  A small entry is its
+//     line map too: the small lane copies a 68-byte SmallSchedule (m and
+//     up to 64 one-byte lines) through the frame's nine staging words.
+//     A frame's payload buffer is
 //     TYPE-STABLE: it lives until the cache dies (a frame swaps it only
 //     for a larger one), so a reader racing an eviction copies
 //     stale-but-owned memory and the sequence check rejects the result,
@@ -178,7 +180,7 @@ class ScheduleCache {
   /// the general lane; a warm store is consulted first.
   [[nodiscard]] bool find_small(const PermutationDigest& digest, SmallSchedule& out);
 
-  /// Insert (or refresh) a flattened small-N schedule by value; same
+  /// Insert (or refresh) a small-N schedule (its line map) by value; same
   /// eviction accounting as insert().  Does not touch hit/miss.
   void insert_small(const PermutationDigest& digest, const SmallSchedule& schedule);
 

@@ -12,7 +12,7 @@
 
 #include "common/crc32.hpp"
 #include "common/expect.hpp"
-#include "core/kernels/kernel_set.hpp"
+#include "core/small_schedule.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -91,21 +91,58 @@ bool decode_general(const WarmStore::Record& r, std::vector<std::uint32_t>& line
   return keyed_by_its_lines(r, lines);
 }
 
-/// Parse a small record payload, re-binding apply8 from THIS process's
-/// kernel dispatch.  Returns an unsolved schedule on corruption.
-SmallSchedule decode_small(const WarmStore::Record& r) {
-  if (r.payload_bytes != sizeof(SmallSchedule::Wire)) return SmallSchedule{};
-  SmallSchedule::Wire wire;
-  std::memcpy(&wire, r.payload, sizeof(wire));
-  if (wire.m != r.m) return SmallSchedule{};
-  const SmallSchedule small =
-      SmallSchedule::from_wire(wire, kernels::active_kernels().small_apply8);
-  if (!small.solved()) return small;
-  std::uint32_t lines[SmallSchedule::kMaxLines];
-  for (std::size_t j = 0; j < small.lines(); ++j) lines[j] = small.line_of_input(j);
-  if (!keyed_by_its_lines(r, std::span<const std::uint32_t>(lines, small.lines()))) {
-    return SmallSchedule{};
+/// A small record's payload: the line map plus the Beneš steps
+/// CompiledBnb::flatten_small builds from it (SmallReplay).  Fixed-size
+/// plain data, written and CRC'd as raw bytes; explicit padding keeps every
+/// byte defined.  The apply8 kernel binding is process-local and never
+/// stored.
+struct SmallWire {
+  std::uint32_t m = 0;
+  std::uint16_t depth = 0;
+  std::uint16_t reserved = 0;
+  std::uint64_t masks[SmallReplay::kMaxDepth] = {};
+  std::uint8_t deltas[SmallReplay::kMaxDepth] = {};
+  std::uint8_t line_of[SmallSchedule::kMaxLines] = {};
+  std::uint8_t pad[5] = {};
+};
+static_assert(SmallReplay::kMaxDepth == 11 && sizeof(SmallWire) == 176,
+              "SmallWire layout is part of bnb.schedstore.v3");
+
+/// The one encoding of a small schedule: its line map and its flatten.
+/// save() runs this on its cold path; serving never flattens.
+SmallWire encode_small(const SmallSchedule& small) {
+  const SmallReplay replay = SmallReplay::flatten(small, nullptr);
+  SmallWire w;
+  w.m = small.m();
+  w.depth = static_cast<std::uint16_t>(replay.depth());
+  for (std::size_t s = 0; s < SmallReplay::kMaxDepth; ++s) {
+    w.masks[s] = replay.step_mask(s);
+    w.deltas[s] = static_cast<std::uint8_t>(replay.step_delta(s));
   }
+  for (std::size_t j = 0; j < small.lines(); ++j) {
+    w.line_of[j] = static_cast<std::uint8_t>(small.line_of_input(j));
+  }
+  return w;
+}
+
+/// Parse a small record payload into its line map.  Returns an unsolved
+/// schedule on corruption: the wrong size or m, a line map that does not
+/// digest to the record's key, or any other byte that differs from the
+/// encoding of that map — in particular steps that are not its flatten,
+/// whether or not they would still replay it.
+SmallSchedule decode_small(const WarmStore::Record& r) {
+  if (r.payload_bytes != sizeof(SmallWire)) return SmallSchedule{};
+  SmallWire wire;
+  std::memcpy(&wire, r.payload, sizeof(wire));
+  if (wire.m != r.m || wire.m < 1 || wire.m > SmallSchedule::kMaxM) return SmallSchedule{};
+  const std::size_t n = std::size_t{1} << wire.m;
+  std::uint32_t lines[SmallSchedule::kMaxLines];
+  for (std::size_t j = 0; j < n; ++j) lines[j] = wire.line_of[j];
+  const std::span<const std::uint32_t> map(lines, n);
+  const SmallSchedule small = SmallSchedule::from_lines(map);
+  if (!small.solved() || !keyed_by_its_lines(r, map)) return SmallSchedule{};
+  const SmallWire canonical = encode_small(small);
+  if (std::memcmp(&canonical, &wire, sizeof(wire)) != 0) return SmallSchedule{};
   return small;
 }
 
@@ -337,15 +374,14 @@ std::size_t ScheduleCache::save(const std::string& path) {
         rh.kind = WarmStore::kGeneralRecord;
         rh.m = m;
       } else {
-        // Reassemble the staged SmallSchedule, then strip it to wire form
-        // (the apply8 binding never leaves the process).
+        // Reassemble the staged line map, then flatten it into wire form.
         std::uint64_t words[kSmallWords];
         for (std::size_t w = 0; w < kSmallWords; ++w) {
           words[w] = f.small[w].load(std::memory_order_relaxed);
         }
         SmallSchedule small;
         std::memcpy(&small, words, sizeof(small));
-        const SmallSchedule::Wire wire = small.to_wire();
+        const SmallWire wire = encode_small(small);
         append_bytes(payload, &wire, sizeof(wire));
         rh.kind = WarmStore::kSmallRecord;
         rh.m = small.m();

@@ -3,7 +3,8 @@
 // A solved schedule is expensive to produce (the full column-by-column
 // control solve) but cheap to describe: the composed input->line map for
 // the general lane (the network self-routes, Thm. 2, so a replay reads
-// nothing else), a SmallSchedule::Wire for the small lane.  ScheduleCache::save() serializes every live entry into
+// nothing else); the same map plus its Beneš steps for the small lane.
+// ScheduleCache::save() serializes every live entry into
 // this format; load() rebuilds a cache eagerly; warm_start() attaches the
 // file as a read-only memory map so a fresh process serves its FIRST
 // request at warm-cache speed, paying only a lazy per-record CRC check.
@@ -17,9 +18,12 @@
 //   Record        8-aligned payload:
 //        payload         general: the line map, u32[2^m] — exactly
 //                                 4 * 2^m bytes, the count taken from m
-//                        small:   SmallSchedule::Wire (the apply8 kernel
-//                                 binding is NOT stored — it is re-bound
-//                                 from the loading process's dispatch)
+//                        small:   176 B: m, the step count, 11 step
+//                                 masks and deltas (the flatten_small of
+//                                 the map, computed at save), 64 one-byte
+//                                 lines.  load() keeps only the line map,
+//                                 and refuses a record whose other bytes
+//                                 are not the encoding of that map.
 //
 // The kernel-invariance tag records the format-level promise that a stored
 // schedule replays bit-identically on EVERY kernel tier (the control solve

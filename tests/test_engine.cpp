@@ -722,34 +722,48 @@ TEST(CompiledBnb, SteadyStateWideDatapathAllocatesNothingOnEveryTier) {
 }
 
 TEST(CompiledBnb, SteadyStateSmallLaneAllocatesNothing) {
-  // The register-resident small-N lane inherits the same guarantee one
-  // level deeper: after one warm-up, compile_small (solve + flatten into a
-  // stack value), apply_small, and the raw apply()/apply8() replays are
-  // all heap-free — there is no schedule object to allocate at all.
+  // The small lane inherits the same guarantee, on both of its paths.
+  // After one warm-up, a serving miss (compile_small's solve + line-map
+  // copy, apply_small, insert_small into a cache too small to hold the
+  // pool) and the explicit register replay (flatten_small + apply /
+  // apply8) are heap-free: every small value lives on the stack.
   const CompiledBnb engine(6);
   RouteScratch scratch;
+  ScheduleCache cache(2, /*shards=*/1);
   Rng rng(0x5EED6);
   std::vector<Permutation> perms;
-  for (int i = 0; i < 4; ++i) perms.push_back(random_perm(engine.inputs(), rng));
+  std::vector<PermutationDigest> digests;
+  for (int i = 0; i < 4; ++i) {
+    perms.push_back(random_perm(engine.inputs(), rng));
+    digests.push_back(digest_permutation(perms.back()));
+  }
 
   // Warm-up: size the scratch.
   (void)engine.apply_small(engine.compile_small(perms[0], scratch), perms[0], scratch);
 
   testhook::reset_allocation_count();
+  for (std::size_t i = 0; i < perms.size(); ++i) {
+    const SmallSchedule sched = engine.compile_small(perms[i], scratch);
+    ASSERT_TRUE(engine.apply_small(sched, perms[i], scratch).self_routed);
+    cache.insert_small(digests[i], sched);
+  }
+  EXPECT_EQ(testhook::allocation_count(), 0U)
+      << "a small-lane miss (compile + deliver + insert) must not touch the heap";
+  EXPECT_GT(cache.stats().evictions, 0U) << "every insert past the second evicts";
+
+  testhook::reset_allocation_count();
   std::uint64_t acc = 0;
   for (const auto& pi : perms) {
-    const SmallSchedule sched = engine.compile_small(pi, scratch);
-    const auto out = engine.apply_small(sched, pi, scratch);
-    ASSERT_TRUE(out.self_routed);
+    const SmallReplay replay = engine.flatten_small(engine.compile_small(pi, scratch));
     std::uint64_t lanes[8] = {1, 2, 4, 8, 16, 32, 64, 128};
-    for (int replay = 0; replay < 64; ++replay) {
-      acc ^= sched.apply(acc ^ replay);
-      sched.apply8(lanes);
+    for (int round = 0; round < 64; ++round) {
+      acc ^= replay.apply(acc ^ round);
+      replay.apply8(lanes);
     }
     acc ^= lanes[0];
   }
   EXPECT_EQ(testhook::allocation_count(), 0U)
-      << "small-lane compile + replay must not touch the heap (acc=" << acc << ")";
+      << "flatten + register replay must not touch the heap (acc=" << acc << ")";
 }
 
 TEST(GbnTopology, StageUnshuffleTableMatchesNextLine) {

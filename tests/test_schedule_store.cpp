@@ -1,7 +1,7 @@
 // bnb.schedstore.v3 persistence: save → load must replay bit-identically
 // in BOTH lanes across every kernel tier this host supports (the format's
-// kernel-invariance promise, with apply8 re-bound from the loading
-// process's dispatch), a store the build cannot read — missing, truncated,
+// kernel-invariance promise), a small record's steps must be the flatten of
+// its line map, a store the build cannot read — missing, truncated,
 // wrong magic, unsupported version (v1 and v2 included), header or record CRC
 // damage — must throw schedule_store_error from load() with nothing
 // inserted, a save() that fails must leave the previous store intact, and
@@ -25,6 +25,8 @@
 #include "core/kernels/kernel_set.hpp"
 #include "core/schedule_cache.hpp"
 #include "core/schedule_store.hpp"
+#include "core/small_schedule.hpp"
+#include "fault/resilience.hpp"
 #include "perm/generators.hpp"
 
 namespace {
@@ -105,7 +107,7 @@ TEST(ScheduleStore, SaveLoadRoundTripBitIdenticalAcrossTiers) {
 
   // One save, one load per tier: the stored bytes are tier-invariant, so a
   // store written under the default dispatch must replay bit-identically
-  // on every tier, with the small lane's apply8 re-bound at load time.
+  // on every tier.
   for (const KernelSet* set : kernels::supported_kernel_sets()) {
     ScheduleCache cache(16);
     ASSERT_EQ(cache.load(fx.path), 2U) << set->name;
@@ -122,6 +124,119 @@ TEST(ScheduleStore, SaveAnEmptyCacheAndLoadItBack) {
   ScheduleCache fresh(8);
   EXPECT_EQ(fresh.load(path), 0U);
   EXPECT_EQ(fresh.size(), 0U);
+}
+
+/// Byte offsets inside a small record's 176-byte payload: m (u32), step
+/// count (u16), reserved (u16), 11 step masks (u64), 11 step deltas (u8),
+/// 64 one-byte lines, 5 pad bytes.
+constexpr std::size_t kSmallDepthAt = 4;
+constexpr std::size_t kSmallMasksAt = 8;
+constexpr std::size_t kSmallDeltasAt = kSmallMasksAt + 8 * SmallReplay::kMaxDepth;
+constexpr std::size_t kSmallLinesAt = kSmallDeltasAt + SmallReplay::kMaxDepth;
+
+/// The line map a small record's payload carries.
+std::vector<std::uint32_t> small_record_lines(const unsigned char* payload, unsigned m) {
+  std::vector<std::uint32_t> lines(std::size_t{1} << m);
+  for (std::size_t j = 0; j < lines.size(); ++j) lines[j] = payload[kSmallLinesAt + j];
+  return lines;
+}
+
+/// Whether a small record payload's steps replay its own line map: the
+/// butterfly replay of 1 << j lands on 1 << line j for every j < 2^m and
+/// leaves every higher bit in place (XOR-linearity makes that complete).
+bool small_record_steps_replay_its_lines(const unsigned char* payload, unsigned m) {
+  std::uint16_t depth;
+  std::memcpy(&depth, payload + kSmallDepthAt, sizeof(depth));
+  if (depth > SmallReplay::kMaxDepth) return false;
+  const std::vector<std::uint32_t> lines = small_record_lines(payload, m);
+  for (unsigned j = 0; j < 64; ++j) {
+    std::uint64_t x = std::uint64_t{1} << j;
+    for (std::size_t s = 0; s < depth; ++s) {
+      std::uint64_t mask;
+      std::memcpy(&mask, payload + kSmallMasksAt + 8 * s, sizeof(mask));
+      const unsigned d = payload[kSmallDeltasAt + s];
+      if (d == 0 || d >= 64) return false;
+      const std::uint64_t y = (x ^ (x >> d)) & mask;
+      x ^= y ^ (y << d);
+    }
+    const unsigned want = j < lines.size() ? lines[j] : j;
+    if (x != std::uint64_t{1} << want) return false;
+  }
+  return true;
+}
+
+TEST(ScheduleStore, SmallLaneRoundTripThroughTheServingPaths) {
+  // A cache filled only by the serving paths (ResilientRouter and
+  // cache.route) holds line maps and never flattens; save() flattens each
+  // small entry into its record.  Every saved record's steps must be
+  // flatten_small of its line map, and a fresh cache loaded from the file
+  // must serve every repeat as a hit with bit-identical delivery.
+  Rng rng(0x5702E0B);
+  for (unsigned m = 2; m <= SmallSchedule::kMaxM; ++m) {
+    SCOPED_TRACE(testing::Message() << "m=" << m);
+    const std::size_t n = std::size_t{1} << m;
+    const std::string path = temp_path("small-roundtrip.bnbstore");
+    std::vector<Permutation> distinct;  // m = 2 has only 24 permutations
+    while (distinct.size() < 12) {
+      const Permutation pi = random_perm(n, rng);
+      if (std::find(distinct.begin(), distinct.end(), pi) == distinct.end()) {
+        distinct.push_back(pi);
+      }
+    }
+    const std::vector<Permutation> routed(distinct.begin(), distinct.begin() + 6);
+    const std::vector<Permutation> cached(distinct.begin() + 6, distinct.end());
+    std::vector<std::vector<std::uint32_t>> want;
+    const CompiledBnb plan(m);
+    RouteScratch scratch;
+    {
+      ScheduleCache cache(32);
+      ResilientRouter router(m, {}, &cache);
+      for (const Permutation& pi : routed) want.push_back(router.route(pi).dest);
+      for (const Permutation& pi : cached) {
+        const auto out = cache.route(plan, pi, scratch);
+        want.emplace_back(out.dest.begin(), out.dest.end());
+      }
+      ASSERT_EQ(cache.stats().hits, 0U);
+      ASSERT_EQ(cache.save(path), routed.size() + cached.size());
+    }
+
+    const WarmStore store(path);
+    ASSERT_EQ(store.records(), routed.size() + cached.size());
+    for (std::size_t i = 0; i < store.records(); ++i) {
+      const WarmStore::Record& r = store.record(i);
+      ASSERT_EQ(r.kind, WarmStore::kSmallRecord);
+      ASSERT_EQ(r.m, m);
+      const SmallReplay want_steps = plan.flatten_small(
+          SmallSchedule::from_lines(small_record_lines(r.payload, m)));
+      std::uint16_t depth;
+      std::memcpy(&depth, r.payload + kSmallDepthAt, sizeof(depth));
+      EXPECT_EQ(depth, want_steps.depth()) << "record " << i;
+      for (std::size_t s = 0; s < SmallReplay::kMaxDepth; ++s) {
+        std::uint64_t mask;
+        std::memcpy(&mask, r.payload + kSmallMasksAt + 8 * s, sizeof(mask));
+        EXPECT_EQ(mask, want_steps.step_mask(s)) << "record " << i << " step " << s;
+        EXPECT_EQ(r.payload[kSmallDeltasAt + s], want_steps.step_delta(s))
+            << "record " << i << " step " << s;
+      }
+      EXPECT_TRUE(small_record_steps_replay_its_lines(r.payload, m)) << "record " << i;
+    }
+
+    ScheduleCache fresh(32);
+    ASSERT_EQ(fresh.load(path), store.records());
+    ResilientRouter router(m, {}, &fresh);
+    for (std::size_t i = 0; i < routed.size(); ++i) {
+      const ResilientReport report = router.route(routed[i]);
+      EXPECT_TRUE(report.served_from_cache) << "routed " << i;
+      EXPECT_EQ(report.dest, want[i]) << "routed " << i;
+    }
+    for (std::size_t i = 0; i < cached.size(); ++i) {
+      const auto out = fresh.route(plan, cached[i], scratch);
+      EXPECT_TRUE(std::equal(out.dest.begin(), out.dest.end(), want[routed.size() + i].begin()))
+          << "cached " << i;
+    }
+    EXPECT_EQ(fresh.stats().hits, routed.size() + cached.size());
+    EXPECT_EQ(fresh.stats().misses, 0U);
+  }
 }
 
 TEST(ScheduleStore, SaveIsCrashSafeWhenTheTempFileCannotBeCreated) {
@@ -387,7 +502,7 @@ TEST(ScheduleStore, MutatedStoresNeverLoadPartiallyOrMisroute) {
   // A deterministic mutation battery over a store holding both lanes:
   // every truncation, seeded 1-3 bit flips anywhere, and self-consistent
   // lies (CRCs recomputed) about the record count, each record's payload
-  // length, kind, m and digest.
+  // length, kind, m and digest, and the small record's steps.
   const Fixture fx = make_saved_store("mutation.bnbstore", 0x5702E09);
   const std::vector<unsigned char> good = read_file(fx.path);
   const std::vector<std::size_t> records = record_offsets(good);
@@ -445,6 +560,39 @@ TEST(ScheduleStore, MutatedStoresNeverLoadPartiallyOrMisroute) {
       std::vector<unsigned char> bytes = good;
       put_u32(bytes, at + 20, m);
       expect_refused_and_never_misroutes(fx, bytes, record + " m " + std::to_string(m));
+    }
+  }
+
+  // Adversarial steps: the small record's line map (and so its key) is
+  // intact and its CRC resealed, but its steps no longer replay that map —
+  // one flipped bit in each step's mask, or the last step dropped.  A
+  // record must be refused whole, not loaded by its line map alone.
+  for (const std::size_t at : records) {
+    if (get_u32(good, at + 16) != WarmStore::kSmallRecord) continue;
+    const std::size_t payload = at + 32;
+    const unsigned m = get_u32(good, at + 20);
+    ASSERT_TRUE(small_record_steps_replay_its_lines(good.data() + payload, m));
+    std::uint16_t depth;
+    std::memcpy(&depth, good.data() + payload + kSmallDepthAt, sizeof(depth));
+    ASSERT_GT(depth, 0U);
+    std::vector<std::vector<unsigned char>> mutants;
+    for (std::size_t step = 0; step < depth; ++step) {
+      std::vector<unsigned char> bytes = good;
+      const std::size_t bit = rng.below(std::size_t{1} << m);
+      bytes[payload + kSmallMasksAt + 8 * step + bit / 8] ^=
+          static_cast<unsigned char>(1U << (bit % 8));
+      mutants.push_back(bytes);
+    }
+    std::vector<unsigned char> dropped = good;
+    const std::uint16_t shorter = depth - 1;
+    std::memcpy(dropped.data() + payload + kSmallDepthAt, &shorter, sizeof(shorter));
+    mutants.push_back(dropped);
+    for (std::size_t i = 0; i < mutants.size(); ++i) {
+      std::vector<unsigned char>& bytes = mutants[i];
+      ASSERT_FALSE(small_record_steps_replay_its_lines(bytes.data() + payload, m)) << i;
+      reseal_record(bytes, at);
+      expect_refused_and_never_misroutes(
+          fx, bytes, "small record steps mutant " + std::to_string(i));
     }
   }
 
